@@ -1,7 +1,8 @@
 """E19 — batched pattern-execution engine vs sequential map extraction.
 
 ``pattern_to_matrix`` on a compiled QAOA pattern with ``k`` open inputs
-needs all ``2^k`` input basis columns.  The sequential reference re-runs
+needs all ``2^k`` input basis columns.  The sequential reference
+(``reference_pattern_to_matrix`` in ``tests/reference_engine.py``) re-runs
 the full pattern once per column; the batched engine
 (:mod:`repro.mbqc.backend`) simulates the whole block in one vectorized
 sweep over a :class:`~repro.sim.BatchedStateVector`.  This regenerates the
@@ -12,10 +13,10 @@ speedup table for p=1 QAOA instances and asserts the acceptance criterion:
 import time
 
 import numpy as np
-import pytest
+from reference_engine import reference_pattern_to_matrix
 
 from repro.core import compile_qaoa_pattern
-from repro.mbqc import pattern_to_matrix, pattern_to_matrix_sequential
+from repro.mbqc import pattern_to_matrix
 from repro.problems import MaxCut
 
 CASES = [
@@ -40,9 +41,9 @@ def speedup_rows():
         compiled = compile_qaoa_pattern(qubo, [0.37], [0.52], open_inputs=True)
         pat = compiled.pattern
         batched = pattern_to_matrix(pat)
-        sequential = pattern_to_matrix_sequential(pat)
+        sequential = reference_pattern_to_matrix(pat)
         max_diff = float(np.abs(batched - sequential).max())
-        t_seq = _median_time(lambda: pattern_to_matrix_sequential(pat))
+        t_seq = _median_time(lambda: reference_pattern_to_matrix(pat))
         t_bat = _median_time(lambda: pattern_to_matrix(pat))
         rows.append(
             {

@@ -8,13 +8,14 @@ The channel-IR refactor's acceptance claims:
    the *exact* channel integral computed by the ``"density"`` engine: at
    1024 trajectories the two agree within 3 standard errors.
 
-2. **Engine scaling.**  The scalar branch recursion explores the
+2. **Engine scaling.**  The depth-first reference integrator
+   (``reference_integrate`` in ``tests/reference_engine.py``) explores the
    outcome-branch tree (``2^m`` leaves for ``m`` live-record
    measurements), so its wall time scales geometrically with the measured
    set — quantified on j-gadget chains — while a fixed trajectory budget
-   scales only linearly.  (The default frontier integrator merges
+   scales only linearly.  (The engine's frontier integrator merges
    equivalent branches and escapes this wall entirely — that speedup is
-   E24's claim; the scalar reference here is the certification baseline.)
+   E24's claim; the reference here is the certification baseline.)
 
 Emits ``BENCH_E21.json`` next to the working directory for downstream
 tracking.  Set ``REPRO_BENCH_QUICK=1`` for the trimmed CI smoke variant.
@@ -26,6 +27,7 @@ import time
 
 import numpy as np
 import pytest
+from reference_engine import reference_integrate
 
 from repro.core import compile_qaoa_pattern
 from repro.mbqc import Pattern, compile_pattern, get_backend
@@ -112,18 +114,16 @@ def test_e21_exact_vs_trajectory_convergence():
 
 
 def test_e21_density_engine_scaling():
-    """Scalar exact-integration cost grows with the measured set (2^m
-    leaves; the frontier path merges these — see E24); the trajectory
-    estimator's cost stays flat per shot."""
+    """Depth-first exact-integration cost grows with the measured set
+    (2^m leaves; the frontier path merges these — see E24); the
+    trajectory estimator's cost stays flat per shot."""
     rng = np.random.default_rng(0)
     rows = []
     for m in CHAIN_SIZES:
         pattern = j_chain(list(rng.uniform(-np.pi, np.pi, size=m)))
         program = compile_pattern(pattern)
         run, t_exact = _timed(
-            lambda: get_backend("density").integrate(
-                program, noise=NOISE, vectorize=False
-            )
+            lambda: reference_integrate(program, noise=NOISE)
         )
         _, t_traj = _timed(
             lambda: get_backend("statevector").sample_batch(

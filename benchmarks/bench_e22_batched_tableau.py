@@ -1,4 +1,4 @@
-"""E22 — bit-packed batched stabilizer tableau vs the per-shot loop.
+"""E22 — bit-packed batched stabilizer tableau vs a per-shot tableau loop.
 
 The Clifford fast path reaches the paper's large ring-QAOA patterns
 (γ = β = 0: graph state + Pauli measurements, ≥ 72 measured nodes at
@@ -6,7 +6,9 @@ ring-24), but until this refactor its trajectory sampler advanced one
 tableau per shot in a Python loop.  ``StabilizerBackend.sample_batch`` now
 runs the whole shot block through one compiled-op sweep over a
 ``BatchedTableau`` — one shared bit-packed GF(2) structure, per-shot packed
-sign bits — with the per-shot loop retained as ``vectorize=False``.
+sign bits.  The per-shot baseline is the engine's own scalar ``_run_one``
+driven shot by shot (``reference_stabilizer_sample`` in
+``tests/reference_engine.py``).
 
 Two acceptance claims:
 
@@ -28,6 +30,7 @@ import os
 import time
 
 import numpy as np
+from reference_engine import reference_stabilizer_sample
 
 from repro.core import compile_qaoa_pattern
 from repro.mbqc import compile_pattern, get_backend
@@ -55,8 +58,8 @@ def _timed(fn):
 
 
 def test_e22_batched_vs_loop_sweep():
-    """Shots-vs-wall-time sweep: vectorized vs retained per-shot loop, with
-    the bit-identity check on every point."""
+    """Shots-vs-wall-time sweep: batched sweep vs per-shot loop, with the
+    bit-identity check on every point."""
     c = clifford_ring_compiled(RING)
     sb = get_backend("stabilizer")
     print("\nE22 — batched stabilizer tableau vs per-shot loop "
@@ -64,13 +67,11 @@ def test_e22_batched_vs_loop_sweep():
     print(f"{'shots':>6} {'batched ms':>11} {'loop ms':>9} {'speedup':>8} {'identical':>10}")
     for shots in SHOT_SWEEP:
         run_b, t_b = _timed(
-            lambda: sb.sample_batch(
-                c, shots, rng=np.random.default_rng(7), vectorize=True
-            )
+            lambda: sb.sample_batch(c, shots, rng=np.random.default_rng(7))
         )
         run_l, t_l = _timed(
-            lambda: sb.sample_batch(
-                c, shots, rng=np.random.default_rng(7), vectorize=False
+            lambda: reference_stabilizer_sample(
+                c, shots, np.random.default_rng(7)
             )
         )
         identical = bool(np.array_equal(run_b.outcomes, run_l.outcomes))
@@ -99,14 +100,10 @@ def test_e22_outputs_agree_between_paths():
     stays cheap)."""
     c = clifford_ring_compiled(6)
     sb = get_backend("stabilizer")
-    vec = sb.sample_batch(
-        c, 48, rng=np.random.default_rng(3), keep_raw=True, vectorize=True
-    )
-    loop = sb.sample_batch(
-        c, 48, rng=np.random.default_rng(3), keep_raw=True, vectorize=False
-    )
+    vec = sb.sample_batch(c, 48, rng=np.random.default_rng(3), keep_raw=True)
+    loop = reference_stabilizer_sample(c, 48, np.random.default_rng(3))
     assert np.array_equal(vec.outcomes, loop.outcomes)
-    for a, b in zip(vec.raw, loop.raw):
+    for a, b in zip(vec.raw, loop.outputs):
         assert a.log2_weight == b.log2_weight
         assert a.canonical_key() == b.canonical_key()
     _RESULTS["output_agreement_shots"] = 48

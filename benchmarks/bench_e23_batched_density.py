@@ -1,4 +1,4 @@
-"""E23 — vectorized density-matrix trajectory sampling vs the per-shot loop.
+"""E23 — batched density-matrix trajectory sampling vs a per-shot loop.
 
 The density engine is the only backend that executes *non-Pauli* channels
 (amplitude damping, dephasing mixtures) — exactly, per trajectory — but
@@ -7,12 +7,13 @@ in a Python loop, capping noisy-channel studies of the paper's MBQC-QAOA
 patterns at toy shot counts.  ``DensityMatrixBackend.sample_batch`` now
 advances one ``(B, 2, ..., 2, 2, ..., 2)`` batched density tensor through a
 single compiled-op sweep, chunked against a byte budget
-(``B · 4^max_live`` complex amplitudes resident), with the per-shot loop
-retained as ``vectorize=False``.
+(``B · 4^max_live`` complex amplitudes resident).  The per-shot baseline
+is the scalar reference interpreter on ``DensityMatrix`` states
+(``reference_sample`` in ``tests/reference_engine.py``).
 
 Two acceptance claims:
 
-1. **Exactness.**  Both paths — and every chunking of the vectorized one —
+1. **Exactness.**  Both paths — and every chunking of the batched one —
    consume the parent generator through the same whole-block draw schedule,
    so seeded outcome records are **bit-identical**: the speedup carries no
    statistical caveats.
@@ -32,12 +33,14 @@ import os
 import time
 
 import numpy as np
+from reference_engine import reference_sample
 
 from repro.core import compile_qaoa_pattern
 from repro.mbqc import compile_pattern, get_backend
 from repro.mbqc.channels import Channel, ChannelNoiseModel
 from repro.mbqc.compile import lower_noise
 from repro.problems import MaxCut
+from repro.sim.density import DensityMatrix
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 
@@ -68,7 +71,7 @@ def _timed(fn):
 
 
 def test_e23_batched_vs_loop_sweep():
-    """Shots-vs-wall-time sweep: vectorized vs retained per-shot loop, with
+    """Shots-vs-wall-time sweep: batched sweep vs per-shot reference, with
     the bit-identity check on every point."""
     program = noisy_ring_program()
     dm = get_backend("density")
@@ -78,13 +81,11 @@ def test_e23_batched_vs_loop_sweep():
     print(f"{'shots':>6} {'batched ms':>11} {'loop ms':>9} {'speedup':>8} {'identical':>10}")
     for shots in SHOT_SWEEP:
         run_b, t_b = _timed(
-            lambda: dm.sample_batch(
-                program, shots, rng=np.random.default_rng(7), vectorize=True
-            )
+            lambda: dm.sample_batch(program, shots, rng=np.random.default_rng(7))
         )
         run_l, t_l = _timed(
-            lambda: dm.sample_batch(
-                program, shots, rng=np.random.default_rng(7), vectorize=False
+            lambda: reference_sample(
+                program, shots, np.random.default_rng(7), state=DensityMatrix
             )
         )
         identical = bool(np.array_equal(run_b.outcomes, run_l.outcomes))

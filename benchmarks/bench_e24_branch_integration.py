@@ -1,9 +1,10 @@
-"""E24 — frontier exact integration vs the scalar branch recursion.
+"""E24 — frontier exact integration vs the depth-first branch recursion.
 
 ``DensityMatrixBackend.integrate`` enumerates every measurement-outcome
 branch of a noisy pattern and sums the unnormalized post-measurement
 density matrices — the exact reference the trajectory samplers (E21/E23)
-certify against.  The scalar recursion pays one simulator descent per
+certify against.  The depth-first recursion (``reference_integrate`` in
+``tests/reference_engine.py``) pays one simulator descent per
 *leaf*: ``2^m`` for ``m`` live measurements, ``4^m`` once readout flips
 enter.  The frontier engine rebuilt here pays per *distinct future*
 instead:
@@ -22,13 +23,13 @@ instead:
 
 Acceptance claims:
 
-* **Exactness.**  The frontier output ρ matches the retained scalar path
-  (``vectorize=False``) at every benchmarked point, and chunkings of the
+* **Exactness.**  The frontier output ρ matches the depth-first reference
+  at every benchmarked point, and chunkings of the
   batched sweep are *bit-identical* to each other (pure reassociation-free
   slicing).
 * **Merging pays.**  Peak merged width is strictly below the raw ``2^m``
   leaf count at every point.
-* **Speed.**  ≥ 4x over the scalar recursion on a noisy gadget-ring
+* **Speed.**  ≥ 4x over the depth-first recursion on a noisy gadget-ring
   pattern with ≥ 16 measured nodes (full mode; the quick CI variant
   checks the same claims at smaller sizes).
 
@@ -41,6 +42,7 @@ import os
 import time
 
 import numpy as np
+from reference_engine import reference_integrate
 
 from repro.core import compile_qaoa_pattern
 from repro.mbqc import Pattern, compile_pattern, get_backend
@@ -89,7 +91,7 @@ def _timed(fn):
 def _bench_point(label, program):
     dm = get_backend("density")
     m = len(program.measured_nodes)
-    scalar, t_s = _timed(lambda: dm.integrate(program, vectorize=False))
+    scalar, t_s = _timed(lambda: reference_integrate(program))
     frontier, t_f = _timed(lambda: dm.integrate(program))
     # merged-only ablation: single-element chunks keep the merge but strip
     # the cross-branch batching out of every kernel sweep
@@ -123,9 +125,9 @@ def _bench_point(label, program):
 
 
 def test_e24_gadget_ring_sweep():
-    """Scalar recursion vs frontier across gadget-ring sizes, with the
+    """Depth-first recursion vs frontier across gadget-ring sizes, with the
     exactness and merged-width checks at every point."""
-    print("\nE24 — frontier exact integration vs scalar branch recursion "
+    print("\nE24 — frontier exact integration vs depth-first branch recursion "
           "(amplitude-damping + dephasing noise)")
     print(f"{'pattern':>12} {'m':>4} {'leaves':>9} {'merged':>7} "
           f"{'scalar ms':>10} {'merged-only':>12} {'frontier ms':>11} "

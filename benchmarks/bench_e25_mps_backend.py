@@ -14,8 +14,8 @@ Acceptance claims:
   and *bit-identical* seeded sample records (both engines consume the
   same per-measurement draw convention).
 * **Chunk invariance.**  Seeded records are bit-identical across shot
-  chunk sizes and to the ``vectorize=False`` scalar reference — the PR 5
-  contract on the fourth engine.
+  chunk sizes and to the op-major scalar reference interpreter
+  (``reference_sample`` in ``tests/reference_engine.py``).
 * **Scaling.**  Line and ring patterns with ≥ 100 measured non-Clifford
   nodes sample within the default byte budget; auto-dispatch routes them
   to the MPS engine off ``interaction_width``, and reported truncation
@@ -30,11 +30,13 @@ import os
 import time
 
 import numpy as np
+from reference_engine import reference_sample
 
 from repro.core import compile_qaoa_pattern
 from repro.mbqc import get_backend, select_backend
 from repro.mbqc.backend import PEAK_BYTE_BUDGET
 from repro.problems import MaxCut
+from repro.sim.mps import MPSState
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 
@@ -112,10 +114,11 @@ def test_e25_exactness_vs_statevector():
 
 
 def test_e25_chunk_and_scalar_bit_identity():
-    """Records invariant to the shot chunking and to vectorize=False."""
+    """Records invariant to the shot chunking and equal to the scalar
+    reference interpreter's."""
     compiled = ring_pattern(6)
     eng = get_backend("mps")
-    ref = eng.sample_batch(compiled, 48, rng=13, vectorize=False)
+    ref = reference_sample(compiled, 48, 13, state=MPSState)
     for chunk_mult in (1, 3, 7):
         run = eng.sample_batch(
             compiled, 48, rng=13,

@@ -17,9 +17,10 @@ sees, so this module enforces them structurally over ``src/``:
     Inside the kernel packages (``repro.mbqc``, ``repro.stab``,
     ``repro.sim``) a generator must not make scalar draws inside a
     ``for``/``while`` loop: per-op draws make the consumed stream depend
-    on data order, which breaks the whole-block draw tables that keep
-    the vectorized and scalar paths bit-identical.  The documented
-    scalar reference paths (:data:`C003_ALLOW`) are exempt.
+    on data order, which breaks the whole-block draw contract that keeps
+    seeded records invariant under chunking and identical across
+    engines.  Only the stabilizer engine's per-shot draw source
+    (:data:`C003_ALLOW`) is exempt.
 
 Run via :func:`lint_tree` (pytest + CI) or ``repro lint --contracts``.
 """
@@ -39,12 +40,10 @@ RNG_MODULE_SUFFIXES = ("repro/utils/rng.py",)
 #: Path fragments identifying the kernel packages C003 covers.
 KERNEL_PACKAGE_FRAGMENTS = ("repro/mbqc/", "repro/stab/", "repro/sim/")
 
-#: Enclosing function/class names exempt from C003 — the documented
-#: scalar trajectory reference paths whose draw order is part of their
-#: contract (each one's docstring says so).
-C003_ALLOW = frozenset(
-    {"draw_pauli_fault", "run_pattern", "run_pattern_noisy", "_GeneratorDraws"}
-)
+#: Enclosing function/class names exempt from C003 — the stabilizer
+#: per-shot loop's draw source, whose programs have no whole-block draw
+#: schedule (its docstring says why).
+C003_ALLOW = frozenset({"_GeneratorDraws"})
 
 #: ``np.random`` attributes that are legitimate non-drawing references
 #: (types for annotations/isinstance, the sanctioned constructor which

@@ -62,7 +62,10 @@ from repro.mbqc.pattern import PatternError
 from repro.utils.rng import SeedLike, ensure_rng, spawn_seeds
 
 #: On-disk format version shared by the manifest and block headers.
-CHECKPOINT_FORMAT_VERSION = 1
+#: Version 2 marks the single-uniform Pauli-fault draw contract: records
+#: of programs with Pauli channels differ from version-1 jobs, so a
+#: version-1 directory is refused on resume instead of mixing streams.
+CHECKPOINT_FORMAT_VERSION = 2
 
 #: Default shots per block — small enough that a crash loses little work,
 #: large enough that per-block engine dispatch overhead stays negligible.
@@ -338,7 +341,7 @@ def run_checkpointed(
     (site ``"block-file"``) — production callers leave it ``None``.
 
     ``sample_kwargs`` is forwarded to every per-block ``sample_batch``
-    call (e.g. ``vectorize``/``max_block_bytes`` knobs); ``keep_raw`` is
+    call (e.g. the ``max_block_bytes`` chunking knob); ``keep_raw`` is
     rejected because jobs persist outcome records only.  ``cli_meta`` is
     an opaque dict stored in the manifest (the CLI keeps its arguments
     there so ``repro run --resume JOBDIR`` can rebuild the program).

@@ -12,12 +12,10 @@ are sequences of commands
 
 with the paper's notation ``M_i^P -> n`` and ``Λ_i^n(U)`` mapping onto
 ``M``/``X``/``Z`` commands.  Patterns are pre-compiled to slot-resolved ops
-(:mod:`repro.mbqc.compile`) and executed on the dynamic statevector
-simulator, supporting exhaustive outcome-branch enumeration — the
+(:mod:`repro.mbqc.compile`) and executed on the registered engines
+(:mod:`repro.mbqc.backend`), supporting exhaustive outcome-branch enumeration — the
 determinism checks of Sections II.B/III are run over *all* branches.  Branch
-map extraction runs on a pluggable batched engine
-(:mod:`repro.mbqc.backend`): all ``2^k`` input columns in one vectorized
-sweep.
+map extraction runs all ``2^k`` input columns in one batched sweep.
 
 :mod:`repro.mbqc.flow` implements causal flow and (extended, three-plane)
 generalized flow, the graph-theoretic determinism criterion the paper cites
@@ -50,7 +48,6 @@ from repro.mbqc.backend import (
     StabilizerBackend,
     StabilizerOutput,
     StatevectorBackend,
-    draw_pauli_fault,
     draw_pauli_fault_batch,
     available_backends,
     default_backend,
@@ -68,11 +65,10 @@ from repro.mbqc.density_backend import (
 from repro.mbqc.runner import (
     PatternResult,
     pattern_to_matrix,
-    pattern_to_matrix_sequential,
     run_pattern,
 )
 from repro.mbqc.flow import OpenGraph, find_causal_flow, find_gflow
-from repro.mbqc.noise import NoiseModel, average_fidelity, run_pattern_noisy
+from repro.mbqc.noise import NoiseModel, average_fidelity
 from repro.mbqc.extract import ExtractionError, extract_circuit, extractable
 from repro.mbqc.serialize import (
     channel_from_dict,
@@ -112,7 +108,6 @@ __all__ = [
     "StabilizerBackend",
     "StabilizerOutput",
     "PackedStabilizerOutput",
-    "draw_pauli_fault",
     "draw_pauli_fault_batch",
     "DensityMatrixBackend",
     "DensityOutput",
@@ -126,14 +121,12 @@ __all__ = [
     "register_backend",
     "select_backend",
     "pattern_to_matrix",
-    "pattern_to_matrix_sequential",
     "run_pattern",
     "OpenGraph",
     "find_causal_flow",
     "find_gflow",
     "NoiseModel",
     "average_fidelity",
-    "run_pattern_noisy",
     "ExtractionError",
     "extract_circuit",
     "extractable",

@@ -24,10 +24,18 @@ Both engines vectorize ``sample_batch`` across the shot block: the dense
 engine over a :class:`~repro.sim.statevector.BatchedStateVector`, the
 stabilizer engine over a bit-packed
 :class:`~repro.stab.batched.BatchedTableau` (one shared GF(2) structure,
-per-shot packed sign bits) with a retained per-shot loop
-(``vectorize=False``) that consumes the identical whole-block draw
-schedule — seeded trajectories are bit-identical between the two stabilizer
-paths (benchmark E22).
+per-shot packed sign bits).  Hand-built Clifford programs the batched
+tableau cannot execute (see :func:`_batch_applicable`) fall back to a
+per-shot tableau loop automatically.
+
+Every trajectory engine consumes its generator through one seeded-stream
+contract: whole-block ``(n_shots,)`` draws in op order — one uniform
+vector per unpinned measurement (one ``integers(2)`` vector per random
+Pauli measurement on the stabilizer engine), one flip vector per noisy
+readout, and one :func:`draw_pauli_fault_batch` vector per Pauli channel.
+Seeded records are therefore invariant under shot chunking, and the
+statevector and MPS engines produce bit-identical records on every
+program both can run.
 
 Noise enters as a compile-time channel program
 (:func:`repro.mbqc.compile.lower_noise` weaves ``ChannelOp``s and readout
@@ -629,34 +637,11 @@ def _require_pauli_channel(op: ChannelOp) -> Tuple[float, float, float, float]:
 
 def _sample_pauli_channel_batch(sv: BatchedStateVector, op: ChannelOp, rng) -> None:
     """Sample ``op``'s Pauli mixture independently per batch element."""
-    _, px, py, pz = _require_pauli_channel(op)
-    b = sv.batch_size
-    if px == py == pz:
-        # Uniform (depolarizing) mixture: one fire draw + one Pauli pick,
-        # byte-compatible with the historical fault stream so seeded
-        # trajectories reproduce across the refactor.
-        p = 3.0 * px
-        if p <= 0.0:
-            return
-        fire = rng.random(b) < p
-        # The Pauli pick is drawn unconditionally: skipping it when no
-        # shot fired would make the draw *schedule* depend on the sampled
-        # data, so the stream consumed after this op would differ between
-        # a block where nothing fired and the same shots embedded in a
-        # larger coalesced batch (repro.serve muxes per-job generators
-        # through whole-block draws — the schedule must be data-free).
-        which = rng.integers(3, size=b)
-        if not fire.any():
-            return
-        for i, mat in enumerate(_DENSE_PAULIS):
-            sv.apply_1q_masked(mat, op.slot, fire & (which == i))
+    faults = draw_pauli_fault_batch(op, rng, sv.batch_size)
+    if faults is None or not (faults >= 0).any():
         return
-    u = rng.random(b)
-    lo = 1.0 - (px + py + pz)
-    for mat, p in zip(_DENSE_PAULIS, (px, py, pz)):
-        if p > 0.0:
-            sv.apply_1q_masked(mat, op.slot, (u >= lo) & (u < lo + p))
-        lo += p
+    for i, mat in enumerate(_DENSE_PAULIS):
+        sv.apply_1q_masked(mat, op.slot, faults == i)
 
 
 class StabilizerBackend:
@@ -672,7 +657,7 @@ class StabilizerBackend:
     outcome raises :class:`~repro.sim.statevector.ZeroProbabilityBranch`
     (zero-weight branch), mirroring the dense engine's semantics.
 
-    Branch outputs are :class:`StabilizerOutput` tableaus, vectorized
+    Branch outputs are :class:`StabilizerOutput` tableaus, batched
     ``sample_batch`` outputs :class:`PackedStabilizerOutput` views into one
     shared extraction; densification (which loses only a global phase)
     happens on demand.  Input rows must be stabilizer product rows the
@@ -715,7 +700,7 @@ class StabilizerBackend:
 
         ``kind`` is ``"basis"`` (computational column ``bits``) or
         ``"uniform"`` (the ``|+>^k`` row); ``log2w`` is the log-2 squared
-        input norm.  Shared by the scalar and the batched initializers so
+        input norm.  Shared by the per-shot and the batched initializers so
         the two execution paths cannot diverge on input acceptance.
         """
         nz = np.nonzero(np.abs(row) > 1e-12)[0]
@@ -769,12 +754,11 @@ class StabilizerBackend:
         """Execute one trajectory/branch on one (preallocated) tableau.
 
         ``forced`` pins outcomes for the nodes it contains; the rest are
-        sampled through ``draws`` (a :class:`_ShotDrawTable` view for
-        batch-applicable programs, :class:`_GeneratorDraws` otherwise —
-        branch runs, which force everything and are noiseless-checked, pass
-        ``None``).  Replays the compiled slot dynamics against monotonically
-        assigned tableau columns: ``slot_cols[s]`` is the column of the node
-        currently in slot ``s``.
+        sampled through ``draws`` (:class:`_GeneratorDraws` on the per-shot
+        sampling loop; branch runs, which force everything and are
+        noiseless-checked, pass ``None``).  Replays the compiled slot
+        dynamics against monotonically assigned tableau columns:
+        ``slot_cols[s]`` is the column of the node currently in slot ``s``.
         """
         next_col = compiled.num_inputs
         slot_cols = list(range(next_col))
@@ -872,28 +856,21 @@ class StabilizerBackend:
         forced_outcomes: Optional[Mapping[int, int]] = None,
         noise: Optional[object] = None,
         keep_raw: bool = False,
-        vectorize: Optional[bool] = None,
     ) -> SampleRun:
         """Sample ``n_shots`` trajectories, vectorized across the shot block.
 
-        The default path advances one :class:`~repro.stab.batched
-        .BatchedTableau` — a shared bit-packed GF(2) structure with per-shot
-        packed sign bits — through a single compiled-op sweep (the tableau
-        analogue of the dense engine's ``measure_sampled``/
-        ``apply_1q_masked`` sweep).  ``vectorize=False`` forces the retained
-        per-shot loop; ``None`` falls back to it automatically when the
-        program cannot be batch-applied (empty register, a non-Pauli
-        conditional word, or a measurement whose effective bases span
-        several Pauli axes).  Both paths consume the parent generator
-        through the same sequence of whole-block vector draws, so seeded
-        trajectories are **bit-identical** between them (benchmark E22
-        asserts this).
+        Advances one :class:`~repro.stab.batched.BatchedTableau` — a shared
+        bit-packed GF(2) structure with per-shot packed sign bits — through
+        a single compiled-op sweep (the tableau analogue of the dense
+        engine's ``measure_sampled``/``apply_1q_masked`` sweep).  Programs
+        the batched tableau cannot execute (empty register, a non-Pauli
+        conditional, or a measurement whose effective bases span several
+        Pauli axes) run the per-shot loop instead, automatically.
 
-        ``keep_raw`` (default off) controls whether per-shot outputs are
-        retained: the vectorized path keeps them as O(n_out)-per-shot
-        :class:`PackedStabilizerOutput` views into one shared extraction,
-        the loop path as full :class:`StabilizerOutput` tableaus
-        (O(shots · n²) — the historical memory sink this flag retires).
+        ``keep_raw`` (default off) retains per-shot outputs: O(n_out)-per-
+        shot :class:`PackedStabilizerOutput` views into one shared
+        extraction on the batched sweep, full :class:`StabilizerOutput`
+        tableaus on the per-shot loop.
         """
         _check_n_shots(n_shots, self.name)
         rng = ensure_rng(rng)
@@ -905,23 +882,12 @@ class StabilizerBackend:
         if n_shots == 0:
             return _empty_sample_run(compiled, keep_raw)
         n_total = self._total_nodes(compiled)
-        eligible = n_total > 0 and _batch_applicable(compiled)
-        if vectorize is None:
-            vectorize = eligible
-        elif vectorize and not eligible:
-            raise PatternError(
-                f"the {self.name} engine cannot vectorize this program "
-                f"(empty register, a non-Pauli conditional, or a measurement "
-                f"whose effective bases span several Pauli axes); pass "
-                f"vectorize=None for automatic fallback to the per-shot loop"
-            )
-        if vectorize:
+        if n_total > 0 and _batch_applicable(compiled):
             return self._sample_batch_vectorized(
                 compiled, n_shots, rng, row, forced, keep_raw, n_total
             )
         return self._sample_batch_loop(
-            compiled, n_shots, rng, row, forced, keep_raw, n_total,
-            shared_table=eligible,
+            compiled, n_shots, rng, row, forced, keep_raw, n_total
         )
 
     def _sample_batch_loop(
@@ -933,28 +899,17 @@ class StabilizerBackend:
         forced: Mapping[int, int],
         keep_raw: bool,
         n_total: int,
-        shared_table: bool = True,
     ) -> SampleRun:
-        """Retained per-shot reference sampler: one scalar tableau per shot.
-
-        For batch-applicable programs (``shared_table=True``) randomness
-        comes from the same lazily-drawn vector table the vectorized path
-        consumes (one ``(n_shots,)`` draw per randomness-consuming op, in op
-        order — the schedule is shot-independent because it is a property of
-        the shared GF(2) structure), so the two paths produce bit-identical
-        seeded trajectories.  Programs the batched tableau cannot execute
-        (e.g. a hand-built non-Pauli conditional, whose firing diverges the
-        X/Z structure per shot and with it the draw schedule) fall back to
-        plain per-shot scalar draws in the historical order.
+        """Per-shot sampler for programs the batched tableau rejects: one
+        scalar tableau per shot, drawing shot by shot from the generator
+        (:class:`_GeneratorDraws`).  A non-Pauli conditional diverges the
+        X/Z structure per shot, and with it which later measurements are
+        random, so no whole-block draw schedule exists for these programs.
         """
-        draws = (
-            _ShotDrawTable(rng, n_shots) if shared_table
-            else _GeneratorDraws(rng)
-        )
+        draws = _GeneratorDraws(rng)
         raw: List[StabilizerOutput] = []
         outs = np.zeros((n_shots, len(compiled.measured_nodes)), dtype=np.int8)
         for j in range(n_shots):
-            draws.start_shot(j)
             st, log2_w = self._init_tableau(compiled, row, n_total)
             out, outcomes = self._run_one(compiled, st, log2_w, draws, forced)
             if keep_raw:
@@ -1034,7 +989,7 @@ class StabilizerBackend:
                         col,
                         label,
                         outcome_provider=lambda: pack_bits(
-                            _draw_outcomes(rng, n_shots).astype(bool)
+                            rng.integers(2, size=n_shots).astype(bool)
                         ),
                         force_words=force_words,
                     )
@@ -1087,40 +1042,6 @@ class StabilizerBackend:
         )
 
 
-def draw_pauli_fault(op: ChannelOp, rng) -> Optional[int]:
-    """Sample ``op``'s Pauli mixture once: X/Y/Z index, or ``None`` for
-    identity.  The single-trajectory draw used by the in-process
-    interpreter (:mod:`repro.mbqc.runner`).
-
-    **Seeded-stream compatibility contract.**  This scalar path keeps the
-    historical draw order (for a uniform mixture: one ``rng.random()`` fire
-    draw, then — only when fired — one ``rng.integers(3)`` pick), so
-    seeded ``run_pattern`` trajectories reproduce across releases.  The
-    batched samplers instead consume :func:`draw_pauli_fault_batch` — one
-    ``(n_shots,)`` vector draw per channel op with a fixed threshold
-    layout — which is a *different* stream by design: a scalar trajectory
-    and element ``j`` of a batched run agree in distribution but not bit
-    for bit.  Within the batched world the contract is strict: the
-    vectorized sweep and the per-shot loop in
-    :meth:`StabilizerBackend.sample_batch` share the identical vector-draw
-    schedule and are bit-identical for a given seed."""
-    _, px, py, pz = _require_pauli_channel(op)
-    if px == py == pz:
-        # Uniform (depolarizing) mixture: keep the historical draw pattern
-        # so seeded trajectories reproduce across the refactor.
-        p = 3.0 * px
-        if p > 0.0 and rng.random() < p:
-            return int(rng.integers(3))
-        return None
-    u = rng.random()
-    lo = 1.0 - (px + py + pz)
-    for i, p in enumerate((px, py, pz)):
-        if lo <= u < lo + p:
-            return i
-        lo += p
-    return None
-
-
 def draw_pauli_fault_batch(
     op: ChannelOp, rng, n_shots: int
 ) -> Optional[np.ndarray]:
@@ -1131,9 +1052,8 @@ def draw_pauli_fault_batch(
     mixture carries no error weight.  The single ``rng.random(n_shots)``
     draw is partitioned by the cumulative threshold layout
     ``[identity | X | Y | Z]``, so the consumed stream is a fixed function
-    of the op — unlike the scalar :func:`draw_pauli_fault`, whose
-    second draw is conditional on firing (see the seeded-stream contract
-    there)."""
+    of the op.  This is the one fault-draw contract of every trajectory
+    engine."""
     _, px, py, pz = _require_pauli_channel(op)
     total = px + py + pz
     if total <= 0.0:
@@ -1148,137 +1068,65 @@ def draw_pauli_fault_batch(
     return faults
 
 
-def _draw_outcomes(rng, n_shots: int) -> np.ndarray:
-    """One whole-block outcome draw — the shared call both stabilizer
-    sampling paths make, in the same op order, for bit-identical streams."""
-    return rng.integers(2, size=n_shots)
-
-
 def _draw_flips(rng, n_shots: int, p: float) -> np.ndarray:
-    """One whole-block readout-flip draw (see :func:`_draw_outcomes`)."""
+    """One whole-block readout-flip draw."""
     return rng.random(n_shots) < p
 
 
 class _ShotDrawTable:
-    """Lazily drawn ``(n_shots,)`` randomness vectors shared across shots.
+    """Whole-block ``(n_shots,)`` randomness vectors, drawn once in op order
+    and replayed by every chunk of a chunked sweep.
 
-    The per-shot loop pulls its randomness through this table: the first
-    shot to need the ``k``-th random quantity triggers one whole-block
-    vector draw (via the same ``_draw_*``/``draw_pauli_fault_batch`` calls
-    the vectorized sweep makes), later shots index into it.  Because the
-    draw schedule of a Clifford program is shot-independent — which
-    measurements are random, which ops flip or fault, is a property of the
-    shared GF(2) structure — the first shot's encounter order equals the
-    vectorized sweep's op order, making the two samplers consume the
-    parent generator identically and produce bit-identical trajectories.
-
-    The density engine shares this table between *its* two sampling paths
-    (whose schedule is trivially shot-independent: channels are exact, so
-    only measurements and readout flips consume randomness): the per-shot
-    reference loop reads scalars (:meth:`uniform`/:meth:`flip`), the
-    chunked vectorized sweep reads the same whole-block vectors
-    (:meth:`uniform_vec`/:meth:`flip_vec` after :meth:`start_pass`) and
-    slices out its shot range — so seeded trajectories are bit-identical
-    between paths *and* across chunk sizes.
+    The MPS and density engines sweep resident shot chunks op-major: each
+    chunk calls :meth:`start_pass`, then reads the block vector at each
+    randomness-consuming op and slices out its shot range.  The first
+    chunk triggers the draws, later chunks replay them, so seeded records
+    are identical for every chunk size.
     """
 
     def __init__(self, rng, n_shots: int):
         self._rng = rng
         self._n = n_shots
         self._vecs: List[np.ndarray] = []
-        self._kinds: List[object] = []
-        self._shot = 0
-        self._cursor = 0
-
-    def start_shot(self, shot: int) -> None:
-        self._shot = shot
         self._cursor = 0
 
     def start_pass(self) -> None:
-        """Begin a whole-block consumption pass (one chunk of a vectorized
-        sweep): block accessors replay the schedule from the top."""
+        """Begin one chunk's pass: reads replay the schedule from the top."""
         self._cursor = 0
 
-    def _pull_vec(self, kind, drawer) -> np.ndarray:
+    def _pull_vec(self, drawer) -> np.ndarray:
         k = self._cursor
         self._cursor += 1
         if k == len(self._vecs):
             self._vecs.append(drawer())
-            self._kinds.append(kind)
-        elif self._kinds[k] != kind:  # pragma: no cover - schedule invariant
-            raise RuntimeError(
-                "per-shot draw schedule diverged across shots; the draw "
-                "schedule should be a property of the shared structure"
-            )
         return self._vecs[k]
 
-    def _pull(self, kind, drawer):
-        return self._pull_vec(kind, drawer)[self._shot]
-
-    def outcome(self) -> int:
-        return int(self._pull("outcome", lambda: _draw_outcomes(self._rng, self._n)))
-
-    def flip(self, p: float) -> bool:
-        return bool(
-            self._pull(("flip", p), lambda: _draw_flips(self._rng, self._n, p))
-        )
-
-    def uniform(self) -> float:
-        """One uniform deviate for the current shot (Born-rule outcome
-        draws with non-1/2 probabilities; cf. the stabilizer engine's
-        :meth:`outcome`, whose random outcomes are exact coin flips)."""
-        return float(self._pull("uniform", lambda: self._rng.random(self._n)))
-
     def uniform_vec(self) -> np.ndarray:
-        """The whole ``(n_shots,)`` uniform block at this schedule slot."""
-        return self._pull_vec("uniform", lambda: self._rng.random(self._n))
+        """The ``(n_shots,)`` uniform block of an unpinned measurement."""
+        return self._pull_vec(lambda: self._rng.random(self._n))
 
     def flip_vec(self, p: float) -> np.ndarray:
-        """The whole ``(n_shots,)`` readout-flip block at this slot."""
-        return self._pull_vec(
-            ("flip", p), lambda: _draw_flips(self._rng, self._n, p)
-        )
-
-    def fault(self, op: ChannelOp) -> int:
-        """Fault index for the current shot (-1 = identity)."""
-        _, px, py, pz = _require_pauli_channel(op)
-        if px + py + pz <= 0.0:
-            return -1  # no randomness consumed, matching the batch draw
-        return int(
-            self._pull(
-                ("fault", op.label),
-                lambda: draw_pauli_fault_batch(op, self._rng, self._n),
-            )
-        )
+        """The ``(n_shots,)`` readout-flip block of a noisy readout."""
+        return self._pull_vec(lambda: _draw_flips(self._rng, self._n, p))
 
     def fault_vec(self, op: ChannelOp) -> Optional[np.ndarray]:
-        """The whole ``(n_shots,)`` fault block at this slot (``None`` when
-        the channel is weightless and consumes no randomness) — same kind
-        key as :meth:`fault`, so scalar and block readers share one draw."""
+        """The ``(n_shots,)`` fault block of a Pauli channel (``None`` when
+        the channel is weightless and consumes no randomness)."""
         _, px, py, pz = _require_pauli_channel(op)
         if px + py + pz <= 0.0:
             return None
         return self._pull_vec(
-            ("fault", op.label),
-            lambda: draw_pauli_fault_batch(op, self._rng, self._n),
+            lambda: draw_pauli_fault_batch(op, self._rng, self._n)
         )
 
 
 class _GeneratorDraws:
-    """Per-shot scalar draws straight from the generator, historical order.
-
-    The draw source for per-shot loops over programs the batched tableau
-    cannot execute: their draw schedule may be *shot-dependent* (a
-    non-Pauli conditional diverges the X/Z structure per shot, changing
-    which later measurements are random), so the shared vector table's
-    schedule invariant does not hold and plain sequential draws are the
-    only correct contract."""
+    """Shot-by-shot draws straight from the generator, for the stabilizer
+    per-shot loop (programs with a shot-dependent draw schedule).  Faults
+    use the :func:`draw_pauli_fault_batch` partition at block size 1."""
 
     def __init__(self, rng):
         self._rng = rng
-
-    def start_shot(self, shot: int) -> None:
-        pass
 
     def outcome(self) -> int:
         return int(self._rng.integers(2))
@@ -1287,8 +1135,8 @@ class _GeneratorDraws:
         return bool(self._rng.random() < p)
 
     def fault(self, op: ChannelOp) -> int:
-        i = draw_pauli_fault(op, self._rng)
-        return -1 if i is None else i
+        faults = draw_pauli_fault_batch(op, self._rng, 1)
+        return -1 if faults is None else int(faults[0])
 
 
 def _parity_words(
@@ -1329,8 +1177,8 @@ def _batch_applicable(compiled: CompiledPattern) -> bool:
     each measurement's four effective bases must share one Pauli axis so
     the adaptive part reduces to the flip bit.  All compiler-produced
     Clifford programs qualify (corrections lower to X/Z, and negating an
-    angle or adding π preserves a Pauli axis); the guard protects against
-    hand-built op streams, which fall back to the per-shot loop."""
+    angle or adding π preserves a Pauli axis); the guard routes hand-built
+    op streams to the per-shot loop."""
     for op in compiled.ops:
         tp = type(op)
         if tp is MeasureOp:

@@ -1,8 +1,8 @@
 """Pattern pre-compilation: slot lifetimes, basis tables, Clifford fusion.
 
 Interpreting a :class:`~repro.mbqc.pattern.Pattern` command-by-command pays
-per-command bookkeeping in the hot path: ``_Register`` compaction on every
-measurement (an O(live-qubits) dict scan), a fresh
+per-command bookkeeping in the hot path: node-to-slot register compaction
+on every measurement (an O(live-qubits) dict scan), a fresh
 :class:`~repro.sim.statevector.MeasurementBasis` construction per ``M``, and
 one ``apply_1q`` per ``C``.  :func:`compile_pattern` hoists all of that to a
 one-time compile:

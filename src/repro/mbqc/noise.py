@@ -24,46 +24,27 @@ one batched sweep on the pattern-execution backend (per-element Pauli fault
 masks) — or, with ``exact=True``, integrates the channels exactly on the
 density-matrix engine (``E[|<ideal|noisy>|²] = <ideal|ρ|ideal>``), which is
 the convergence reference certifying the Monte-Carlo estimator (E21).
-:func:`run_pattern_noisy` keeps the command-by-command single-trajectory
-reference path.
+A single noisy trajectory is ``run_pattern(pattern,
+compiled=lower_noise(compile_pattern(pattern), noise))``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.linalg.gates import PAULI_X, PAULI_Y, PAULI_Z
 from repro.mbqc.backend import get_backend, resolve_backend
 from repro.mbqc.channels import (
     Channel,
     ChannelNoiseModel,
     as_channel_model,
 )
-from repro.mbqc.compile import _CLIFFORD, _PREP, compile_pattern, lower_noise
-from repro.mbqc.pattern import (
-    CommandC,
-    CommandE,
-    CommandM,
-    CommandN,
-    CommandX,
-    CommandZ,
-    Pattern,
-)
-from repro.mbqc.runner import (
-    PatternResult,
-    run_pattern,
-    _PLANE_BASIS,
-    _Register,
-    _reorder_output,
-    _signal,
-)
-from repro.sim.statevector import StateVector
+from repro.mbqc.compile import compile_pattern, lower_noise
+from repro.mbqc.pattern import Pattern
+from repro.mbqc.runner import run_pattern
 from repro.utils.rng import SeedLike, ensure_rng
-
-_PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 
 
 @dataclass(frozen=True)
@@ -96,69 +77,6 @@ class NoiseModel:
             ent=Channel.depolarizing(self.p_ent) if self.p_ent > 0.0 else None,
             meas_flip=self.p_meas,
         )
-
-
-def _maybe_depolarize(sv: StateVector, slot: int, prob: float, rng) -> None:
-    if prob > 0.0 and rng.random() < prob:
-        sv.apply_1q(_PAULIS[int(rng.integers(3))], slot)
-
-
-def run_pattern_noisy(
-    pattern: Pattern,
-    noise: NoiseModel,
-    input_state: Optional[StateVector] = None,
-    seed: SeedLike = None,
-) -> PatternResult:
-    """One noisy trajectory of ``pattern`` under ``noise``.
-
-    Mirrors :func:`repro.mbqc.runner.run_pattern` with fault injection; with
-    a trivial noise model the two agree trajectory-for-trajectory given the
-    same seed stream structure is not guaranteed — compare *states*, not
-    outcomes.
-    """
-    pattern.validate()
-    rng = ensure_rng(seed)
-
-    k = len(pattern.input_nodes)
-    sv = StateVector.plus(k) if input_state is None else input_state.copy()
-    if sv.num_qubits != k:
-        raise ValueError("input state size mismatch")
-    reg = _Register()
-    for i, node in enumerate(pattern.input_nodes):
-        reg.add(node, i)
-
-    outcomes: Dict[int, int] = {}
-    for cmd in pattern.commands:
-        if isinstance(cmd, CommandN):
-            slot = sv.add_qubit(_PREP[cmd.state])
-            reg.add(cmd.node, slot)
-            _maybe_depolarize(sv, slot, noise.p_prep, rng)
-        elif isinstance(cmd, CommandE):
-            sv.apply_cz(reg[cmd.nodes[0]], reg[cmd.nodes[1]])
-            _maybe_depolarize(sv, reg[cmd.nodes[0]], noise.p_ent, rng)
-            _maybe_depolarize(sv, reg[cmd.nodes[1]], noise.p_ent, rng)
-        elif isinstance(cmd, CommandM):
-            s = _signal(outcomes, cmd.s_domain)
-            t = _signal(outcomes, cmd.t_domain)
-            angle = ((-1) ** s) * cmd.angle + t * np.pi
-            basis = _PLANE_BASIS[cmd.plane](angle)
-            out, _ = sv.measure(reg[cmd.node], basis, rng=rng, remove=True)
-            reg.remove(cmd.node)
-            if noise.p_meas > 0.0 and rng.random() < noise.p_meas:
-                out ^= 1  # readout flip: corrupts downstream adaptivity too
-            outcomes[cmd.node] = out
-        elif isinstance(cmd, CommandX):
-            if _signal(outcomes, cmd.domain):
-                sv.apply_1q(PAULI_X, reg[cmd.node])
-        elif isinstance(cmd, CommandZ):
-            if _signal(outcomes, cmd.domain):
-                sv.apply_1q(PAULI_Z, reg[cmd.node])
-        elif isinstance(cmd, CommandC):
-            sv.apply_1q(_CLIFFORD[cmd.gate], reg[cmd.node])
-
-    order = [reg[node] for node in pattern.output_nodes]
-    out_state = _reorder_output(sv, order)
-    return PatternResult(outcomes, out_state, list(pattern.output_nodes))
 
 
 def average_fidelity(

@@ -1,27 +1,25 @@
-"""Pattern execution on the dynamic statevector simulator.
+"""Pattern execution entry points over the backend registry.
 
-``run_pattern`` executes a pattern compiled to slot-resolved ops
-(:func:`repro.mbqc.compile.compile_pattern`): a qubit is allocated per
-``N``, entangled on ``E``, measured adaptively on ``M`` (the measured qubit
-is *removed*, so memory tracks the live set, cf. ``Pattern.max_live_nodes``),
-with conditional corrections applied from precomputed slots.  Outcomes can
-be forced per node, which gives exhaustive branch enumeration: the
-determinism claims of the paper (Sections II.B and III) are tested over
-every outcome branch.
+``run_pattern`` executes one trajectory of a pattern compiled to
+slot-resolved ops (:func:`repro.mbqc.compile.compile_pattern`): a qubit
+is allocated per ``N``, entangled on ``E``, measured adaptively on ``M``
+(the measured qubit is *removed*, so memory tracks the live set, cf.
+``Pattern.max_live_nodes``), with conditional corrections applied from
+precomputed slots.  It is a one-shot ``sample_batch`` on the statevector
+engine (or the engine ``backend`` names), so it draws from the same
+seeded stream as every batched run.  Outcomes can be forced per node,
+which gives exhaustive branch enumeration: the determinism claims of the
+paper (Sections II.B and III) are tested over every outcome branch.
 
 ``pattern_to_matrix`` extracts the linear map a pattern implements on its
-input nodes for a fixed outcome branch.  It runs on the batched execution
-engine (:mod:`repro.mbqc.backend`): all ``2^k`` computational basis columns
-are simulated in one vectorized sweep over a
-:class:`~repro.sim.statevector.BatchedStateVector` instead of ``2^k``
-sequential pattern re-runs.  ``pattern_to_matrix_sequential`` keeps the
-per-column reference path for cross-checks and benchmarking
-(``benchmarks/bench_e19_batched_runner.py``).
+input nodes for a fixed outcome branch: all ``2^k`` computational basis
+columns are simulated in one forced-branch sweep
+(:meth:`~repro.mbqc.backend.PatternBackend.run_branch_batch`).
 
 Both entry points dispatch through the backend registry
 (:func:`repro.mbqc.backend.select_backend`): ``backend`` may be an engine
 instance, a registered name (``"statevector"``, ``"stabilizer"``,
-``"density"``), or ``"auto"``/``None`` — the latter routes Clifford-angle
+``"density"``, ``"mps"``), or ``"auto"`` — which routes Clifford-angle
 patterns to the stabilizer-tableau fast path once the live register
 outgrows dense reach.
 """
@@ -29,36 +27,15 @@ outgrows dense reach.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Optional, Union
 
 import numpy as np
 
-from repro.linalg.gates import PAULI_X, PAULI_Y, PAULI_Z
-from repro.mbqc.backend import PatternBackend, draw_pauli_fault, resolve_backend
-from repro.mbqc.compile import (
-    ChannelOp,
-    CompiledPattern,
-    ConditionalOp,
-    EntangleOp,
-    MeasureOp,
-    PrepOp,
-    UnitaryOp,
-    compile_pattern,
-    signal_parity,
-)
+from repro.mbqc.backend import PatternBackend, get_backend, resolve_backend
+from repro.mbqc.compile import CompiledPattern, compile_pattern
 from repro.mbqc.pattern import Pattern, PatternError
-from repro.sim.statevector import MeasurementBasis, StateVector
+from repro.sim.statevector import StateVector
 from repro.utils.rng import SeedLike, ensure_rng
-
-# The command-by-command interpreters (noise.py) share the compile-time
-# prep/Clifford tables; _PLANE_BASIS stays here for adaptive-basis building.
-_PLANE_BASIS = {
-    "XY": MeasurementBasis.xy,
-    "YZ": MeasurementBasis.yz,
-    "XZ": MeasurementBasis.xz,
-}
-
-_FAULT_PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 
 
 @dataclass
@@ -77,74 +54,17 @@ class PatternResult:
         return self.state.to_array()
 
 
-class _Register:
-    """node id <-> simulator slot bookkeeping with removal compaction.
-
-    Used by the command-by-command interpreters (e.g. the noisy runner);
-    the main runner executes precompiled ops and needs no register.
-    """
-
-    def __init__(self) -> None:
-        self.slot: Dict[int, int] = {}
-
-    def add(self, node: int, slot: int) -> None:
-        self.slot[node] = slot
-
-    def remove(self, node: int) -> int:
-        s = self[node]
-        del self.slot[node]
-        for k in self.slot:
-            if self.slot[k] > s:
-                self.slot[k] -= 1
-        return s
-
-    def __getitem__(self, node: int) -> int:
-        try:
-            return self.slot[node]
-        except KeyError:
-            raise PatternError(
-                f"command targets unknown or already-measured node {node}"
-            ) from None
-
-
-def _signal(outcomes: Dict[int, int], domain) -> int:
-    parity = 0
-    for node in domain:
-        try:
-            parity ^= outcomes[node]
-        except KeyError:
-            raise PatternError(f"signal references unmeasured node {node}") from None
-    return parity
-
-
-def _reorder_output(sv: StateVector, out_perm: Sequence[int]) -> StateVector:
-    """Permute simulator slots into output order; returns the output state.
-
-    For zero-output patterns the 0-qubit state still carries the branch
-    amplitude (``from_array`` on a length-1 vector keeps it) — the previous
-    implementation reset it to 1, silently dropping the branch weight.
-    """
-    arr = sv.to_array()
-    n = sv.num_qubits
-    if n:
-        tensor = arr.reshape((2,) * n).transpose(tuple(reversed(range(n))))
-        # tensor axis i = slot i; want axis j = slot of output_nodes[j].
-        tensor = tensor.transpose(out_perm)
-        arr = tensor.transpose(tuple(reversed(range(n)))).reshape(-1)
-    return StateVector.from_array(arr)
-
-
 def run_pattern(
     pattern: Pattern,
     input_state: Optional[StateVector] = None,
     seed: SeedLike = None,
     forced_outcomes: Optional[Dict[int, int]] = None,
-    renormalize: bool = True,
     validate: bool = True,
     compiled: Optional[CompiledPattern] = None,
     backend: Union[str, PatternBackend, None] = None,
 ) -> PatternResult:
-    """Execute ``pattern`` and return outcomes plus the output state.
+    """Execute ``pattern`` and return outcomes plus the (normalized)
+    output state.
 
     Parameters
     ----------
@@ -154,93 +74,39 @@ def run_pattern(
     forced_outcomes:
         Map node -> bit pinning measurement outcomes (branch enumeration).
         Forcing a zero-probability branch raises.
-    renormalize:
-        With ``False`` the state keeps the branch amplitude — used by
-        :func:`pattern_to_matrix` to extract linear maps.
     compiled:
         A precompiled program for ``pattern`` (from
         :func:`~repro.mbqc.compile.compile_pattern`); pass it when running
         the same pattern many times (e.g. branch enumeration) to skip
-        recompilation.
+        recompilation.  Noise-lowered programs execute their Pauli channel
+        ops and readout flips; non-Pauli channels raise, pointing at the
+        density engine.
     backend:
-        ``None`` keeps the in-process dense interpreter below (one
-        trajectory, no batch overhead; noise-lowered programs execute
-        their Pauli channel ops and readout flips in place).  A registry
-        name (``"auto"``, ``"statevector"``, ``"stabilizer"``,
-        ``"density"``) or engine instance dispatches the trajectory
-        through :meth:`PatternBackend.sample_batch`; the returned state is
-        then always normalized, and the output register must stay
-        densifiable (Clifford patterns with huge *measured* sets are fine
-        — only ``output_nodes`` are materialized).
+        ``None`` runs the statevector engine.  A registry name
+        (``"auto"``, ``"statevector"``, ``"stabilizer"``, ``"density"``,
+        ``"mps"``) or engine instance runs that engine instead; the output
+        register must stay densifiable (Clifford patterns with huge
+        *measured* sets are fine — only ``output_nodes`` are materialized).
+
+    The trajectory is ``sample_batch(compiled, 1, seed)`` on the chosen
+    engine, so it consumes the seeded stream exactly like shot 0 of a
+    one-shot batch.  Branch *amplitudes* (unnormalized states) come from
+    :func:`pattern_to_matrix` / ``run_branch_batch``.
     """
     if compiled is None:
         compiled = compile_pattern(pattern, validate=validate)
-    rng = ensure_rng(seed)
-    forced = forced_outcomes or {}
-
-    if backend is not None:
-        if not renormalize:
-            raise PatternError(
-                "renormalize=False (branch-amplitude extraction) needs the "
-                "in-process interpreter; drop the backend argument or use "
-                "pattern_to_matrix/run_branch_batch"
-            )
-        engine = resolve_backend(backend, compiled, dense_outputs=True)
-        run = engine.sample_batch(
-            compiled, 1, rng, input_state=input_state, forced_outcomes=forced,
-            keep_raw=True,
-        )
-        state = StateVector.from_array(run.dense_states()[0])
-        return PatternResult(
-            run.outcome_dicts()[0], state, list(compiled.output_nodes)
-        )
-
-    k = compiled.num_inputs
-    if input_state is None:
-        sv = StateVector.plus(k)
+    if backend is None:
+        engine = get_backend("statevector")
     else:
-        if input_state.num_qubits != k:
-            raise PatternError(
-                f"input state has {input_state.num_qubits} qubits, pattern has {k} inputs"
-            )
-        sv = input_state.copy()
-
-    outcomes: Dict[int, int] = {}
-    for op in compiled.ops:
-        tp = type(op)
-        if tp is PrepOp:
-            sv.add_qubit(op.state)
-        elif tp is EntangleOp:
-            sv.apply_cz(*op.slots)
-        elif tp is MeasureOp:
-            s = signal_parity(outcomes, op.s_domain)
-            t = signal_parity(outcomes, op.t_domain)
-            out, _prob = sv.measure(
-                op.slot,
-                op.bases[s + 2 * t],
-                rng=rng,
-                force=forced.get(op.node),
-                remove=True,
-                renormalize=renormalize,
-            )
-            if op.flip_p > 0.0 and rng.random() < op.flip_p:
-                out ^= 1  # readout flip corrupts downstream adaptivity
-            outcomes[op.node] = out
-        elif tp is ConditionalOp:
-            if signal_parity(outcomes, op.domain):
-                sv.apply_1q(op.matrix, op.slot)
-        elif tp is ChannelOp:
-            # The interpreter is one trajectory: sample the shared noise
-            # program's Pauli mixtures (non-Pauli channels raise, pointing
-            # to the density engine).
-            i = draw_pauli_fault(op, rng)
-            if i is not None:
-                sv.apply_1q(_FAULT_PAULIS[i], op.slot)
-        else:  # UnitaryOp
-            sv.apply_1q(op.matrix, op.slot)
-
-    out_state = _reorder_output(sv, compiled.out_perm)
-    return PatternResult(outcomes, out_state, list(compiled.output_nodes))
+        engine = resolve_backend(backend, compiled, dense_outputs=True)
+    run = engine.sample_batch(
+        compiled, 1, ensure_rng(seed), input_state=input_state,
+        forced_outcomes=forced_outcomes or {}, keep_raw=True,
+    )
+    state = StateVector.from_array(run.dense_states()[0])
+    return PatternResult(
+        run.outcome_dicts()[0], state, list(compiled.output_nodes)
+    )
 
 
 def enumerate_branches(pattern: Pattern) -> Iterator[Dict[int, int]]:
@@ -290,29 +156,3 @@ def pattern_to_matrix(
     run = engine.run_branch_batch(compiled, inputs, forced)
     # Row j of ``states`` is the output column for input basis state j.
     return np.ascontiguousarray(run.dense_states().T)
-
-
-def pattern_to_matrix_sequential(
-    pattern: Pattern,
-    forced_outcomes: Optional[Dict[int, int]] = None,
-) -> np.ndarray:
-    """Reference implementation of :func:`pattern_to_matrix`: one full
-    pattern run per input basis column.  Kept for cross-validation and as
-    the baseline in ``benchmarks/bench_e19_batched_runner.py``."""
-    compiled = compile_pattern(pattern)
-    forced = _full_branch(compiled, forced_outcomes)
-    k = compiled.num_inputs
-    n_out = compiled.num_outputs
-    cols = []
-    for j in range(1 << k):
-        basis = np.zeros(1 << k, dtype=complex)
-        basis[j] = 1.0
-        res = run_pattern(
-            pattern,
-            input_state=StateVector.from_array(basis),
-            forced_outcomes=forced,
-            renormalize=False,
-            compiled=compiled,
-        )
-        cols.append(res.state_array())
-    return np.stack(cols, axis=1).reshape(1 << n_out, 1 << k)

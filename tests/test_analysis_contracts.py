@@ -4,7 +4,7 @@ import textwrap
 from pathlib import Path
 
 from repro.analysis import lint_paths, lint_source, lint_tree
-from repro.analysis.contracts import format_contract_report
+from repro.analysis.contracts import C003_ALLOW, format_contract_report
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -105,13 +105,26 @@ class TestC003ScalarDrawsInLoops:
     def test_allowlisted_reference_path_exempt(self):
         src = textwrap.dedent(
             """
+            class _GeneratorDraws:
+                def flips(self, ps):
+                    for p in ps:
+                        if self._rng.random() < p:
+                            pass
+            """
+        )
+        assert lint_source(src, KERNEL) == []
+
+    def test_allowlist_is_the_stabilizer_draw_source_only(self):
+        assert C003_ALLOW == {"_GeneratorDraws"}
+        src = textwrap.dedent(
+            """
             def run_pattern(ops, rng):
                 for op in ops:
                     if rng.random() < 0.5:
                         pass
             """
         )
-        assert lint_source(src, KERNEL) == []
+        assert codes(lint_source(src, KERNEL)) == ["C003"]
 
     def test_scalar_draw_outside_loop_fine(self):
         src = "def pick(rng):\n    return rng.integers(2)\n"

@@ -1,6 +1,7 @@
 """Static resource estimator and the select_backend byte-budget gate."""
 
 import pytest
+from reference_engine import reference_integrate
 
 from repro.analysis import analyze, estimate_compiled, format_bytes
 from repro.core import compile_qaoa_pattern
@@ -53,8 +54,9 @@ class TestEstimate:
     def test_branch_bound_matches_exact_integration(self):
         c = ring_compiled(3)
         est = estimate_compiled(c)
-        # scalar path: leaves explored == raw bound (noiseless, no pruning)
-        scalar = get_backend("density").integrate(c, vectorize=False)
+        # depth-first reference: leaves explored == raw bound (noiseless,
+        # no pruning)
+        scalar = reference_integrate(c)
         assert scalar.branches == est.branch_bound
         # frontier path: peak merged width == merged bound
         run = get_backend("density").integrate(c)

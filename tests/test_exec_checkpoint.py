@@ -8,6 +8,7 @@ flips, version skew — are re-run, never silently merged; and a job
 directory refuses to resume under changed parameters.
 """
 
+import json
 import os
 
 import numpy as np
@@ -230,6 +231,19 @@ class TestManifest:
         )
         assert r2.blocks_reused == (0, 1)
         assert np.array_equal(r1.run.outcomes, r2.run.outcomes)
+
+    def test_v1_manifest_refused(self, compiled, tmp_path):
+        """Format version 2 changed the Pauli-fault draw stream: a job
+        directory written by a version-1 build must not resume (its blocks
+        would mix two streams into one record set)."""
+        run_job(compiled, tmp_path / "j")
+        path = tmp_path / "j" / "job.json"
+        manifest = json.loads(path.read_text())
+        assert manifest["version"] == 2
+        manifest["version"] = 1
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(PatternError, match="cannot be resumed"):
+            run_job(compiled, tmp_path / "j")
 
     def test_generator_seed_rejected(self, compiled, tmp_path):
         with pytest.raises(ValueError, match="Generator"):

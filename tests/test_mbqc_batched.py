@@ -1,15 +1,17 @@
-"""Batched pattern-execution engine vs the sequential reference path.
+"""Batched pattern-execution engine vs the per-column reference.
 
 The contract: for any pattern and any forced branch,
 ``pattern_to_matrix`` (one batched sweep over all input columns) equals
-``pattern_to_matrix_sequential`` (one full pattern run per column) to
-1e-9 — on hand-built primitives and on randomized compiled QAOA patterns.
+``reference_pattern_to_matrix`` from ``tests/reference_engine.py`` (one
+unnormalized scalar run per column) to 1e-9 — on hand-built primitives
+and on randomized compiled QAOA patterns.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_engine import reference_pattern_to_matrix
 
 from repro.core import compile_qaoa_pattern
 from repro.core.verify import branch_unitaries, check_pattern_determinism
@@ -20,7 +22,6 @@ from repro.mbqc import (
     compile_pattern,
     default_backend,
     pattern_to_matrix,
-    pattern_to_matrix_sequential,
 )
 from repro.mbqc.backend import PatternBackend
 from repro.mbqc.runner import enumerate_branches
@@ -30,7 +31,7 @@ from repro.sim import ZeroProbabilityBranch
 
 def assert_batched_equals_sequential(pattern, branch=None):
     a = pattern_to_matrix(pattern, branch)
-    b = pattern_to_matrix_sequential(pattern, branch)
+    b = reference_pattern_to_matrix(pattern, branch)
     assert a.shape == b.shape
     assert np.allclose(a, b, atol=1e-9), np.abs(a - b).max()
 
@@ -128,7 +129,7 @@ class TestCompiledQAOAPatterns:
         compiled = compile_qaoa_pattern(qubo, [0.3], [0.5], open_inputs=True)
         m = compiled.branch_map()
         assert m.shape == (16, 16)
-        assert np.allclose(m, pattern_to_matrix_sequential(compiled.pattern), atol=1e-9)
+        assert np.allclose(m, reference_pattern_to_matrix(compiled.pattern), atol=1e-9)
         # The executable is compiled once and cached.
         assert compiled.executable() is compiled.executable()
 

@@ -3,14 +3,15 @@
 Covers end-to-end noiseless agreement with the dense engine, exact channel
 integration vs the Monte-Carlo trajectory estimator (the E21 certification
 claim: agreement within ~3 standard errors), non-Pauli channels, the
-Choi-state determinism check, solver wiring, and the vectorized trajectory
-sampler (seeded bit-identity between the batched sweep and the per-shot
-loop, and across shot chunkings — the PR 4 contract extended to the third
-engine).
+Choi-state determinism check, solver wiring, and the batched trajectory
+sampler (seeded bit-identity with the scalar reference interpreter of
+``tests/reference_engine.py``, and across shot chunkings), plus the
+frontier integrator against the depth-first reference integrator.
 """
 
 import numpy as np
 import pytest
+from reference_engine import reference_integrate, reference_sample
 from stat_helpers import (
     assert_mean_within_sigma,
     assert_rows_within_sigma,
@@ -35,6 +36,7 @@ from repro.mbqc.pattern import PatternError
 from repro.mbqc.runner import pattern_to_matrix
 from repro.problems import MaxCut
 from repro.sim import ZeroProbabilityBranch
+from repro.sim.density import DensityMatrix
 
 
 def j_pattern(alpha):
@@ -280,31 +282,33 @@ class TestSolverWiring:
         assert batch.bitstrings.shape == (32,)
 
 
+def reference_density_sample(compiled, n_shots, seed, noise=None, forced=None):
+    """The scalar reference interpreter on ``DensityMatrix`` states:
+    records plus one permuted output ``DensityMatrix`` per shot."""
+    return reference_sample(
+        compiled, n_shots, np.random.default_rng(seed), state=DensityMatrix,
+        noise=noise, forced_outcomes=forced,
+    )
+
+
 class TestBatchedDensitySampler:
-    """The vectorized (batched density tensor) sampler vs the retained
-    per-shot loop: same seed, same whole-block draw schedule — outcome
-    records must agree **bit for bit**, not just in distribution (the PR 4
-    stabilizer contract, extended to the third engine)."""
+    """The batched density-tensor sampler vs the op-major scalar reference
+    interpreter: same seed, same whole-block draw schedule — outcome
+    records must agree **bit for bit**, not just in distribution."""
 
     def _both_paths(self, compiled, n_shots, seed, noise=None, forced=None):
-        dm = get_backend("density")
-        vec = dm.sample_batch(
+        vec = get_backend("density").sample_batch(
             compiled, n_shots, rng=np.random.default_rng(seed), noise=noise,
-            forced_outcomes=forced, keep_raw=True, vectorize=True,
+            forced_outcomes=forced, keep_raw=True,
         )
-        loop = dm.sample_batch(
-            compiled, n_shots, rng=np.random.default_rng(seed), noise=noise,
-            forced_outcomes=forced, keep_raw=True, vectorize=False,
-        )
+        loop = reference_density_sample(compiled, n_shots, seed, noise, forced)
         return vec, loop
 
     def _assert_identical(self, vec, loop):
         assert np.array_equal(vec.outcomes, loop.outcomes)
-        assert len(vec.raw) == len(loop.raw)
-        for a, b in zip(vec.raw, loop.raw):
-            assert np.allclose(
-                a.rho.to_matrix(), b.rho.to_matrix(), atol=1e-9
-            )
+        assert len(vec.raw) == len(loop.outputs)
+        for a, b in zip(vec.raw, loop.outputs):
+            assert np.allclose(a.rho.to_matrix(), b.to_matrix(), atol=1e-9)
 
     def test_noiseless_chain_bit_identical(self):
         c = compile_pattern(j_chain([0.4, -1.1, 0.8]))
@@ -333,8 +337,8 @@ class TestBatchedDensitySampler:
 
     def test_bit_identical_under_amplitude_damping(self):
         """Non-Pauli channels are the density engine's reason to exist: the
-        batched Kraus einsum and the scalar loop must still produce seeded
-        bit-identical records."""
+        batched Kraus einsum and the scalar reference must still produce
+        seeded bit-identical records."""
         model = ChannelNoiseModel(
             prep=Channel.amplitude_damping(0.25),
             ent=Channel.dephasing(0.1),
@@ -358,7 +362,8 @@ class TestBatchedDensitySampler:
 
     def test_forced_all_equals_branch_run(self):
         """Pinning every outcome makes sample_batch a (normalized) branch
-        run — per-shot states must match run_branch_batch on both paths."""
+        run — per-shot states must match run_branch_batch, as must the
+        reference's."""
         c = compile_pattern(j_chain([0.7, 0.3]))
         branch = {n: 0 for n in c.measured_nodes}
         dm = get_backend("density")
@@ -367,25 +372,26 @@ class TestBatchedDensitySampler:
         ref = forced.raw[0].rho.to_matrix()
         ref = ref / np.real(np.trace(ref))
         vec, loop = self._both_paths(c, 3, seed=1, forced=branch)
-        for run in (vec, loop):
+        for run, rhos in (
+            (vec, [out.rho for out in vec.raw]), (loop, loop.outputs)
+        ):
             assert np.array_equal(
                 run.outcomes,
                 np.tile([branch[n] for n in c.measured_nodes], (3, 1)),
             )
-            for out in run.raw:
-                assert np.allclose(out.rho.to_matrix(), ref, atol=1e-9)
+            for rho in rhos:
+                assert np.allclose(rho.to_matrix(), ref, atol=1e-9)
 
     def test_forced_zero_probability_raises_on_both_paths(self):
         p = Pattern(output_nodes=[1])
         p.n(0, state="zero").n(1).m(0, "YZ", 0.0)
         c = compile_pattern(p)
-        dm = get_backend("density")
-        for vectorize in (True, False):
-            with pytest.raises(ZeroProbabilityBranch, match="node 0"):
-                dm.sample_batch(
-                    c, 3, rng=np.random.default_rng(0),
-                    forced_outcomes={0: 1}, vectorize=vectorize,
-                )
+        with pytest.raises(ZeroProbabilityBranch, match="node 0"):
+            get_backend("density").sample_batch(
+                c, 3, rng=np.random.default_rng(0), forced_outcomes={0: 1}
+            )
+        with pytest.raises(ZeroProbabilityBranch):
+            reference_density_sample(c, 3, seed=0, forced={0: 1})
 
     def test_keep_raw_default_off(self):
         c = compile_pattern(j_pattern(0.4))
@@ -411,7 +417,7 @@ class TestBatchedDensitySampler:
 
 
 class TestShotChunking:
-    """Chunking the vectorized sweep against the memory budget must be
+    """Chunking the batched sweep against the memory budget must be
     invisible in the records: every chunk size replays the same whole-block
     draw schedule."""
 
@@ -454,17 +460,14 @@ class TestShotChunking:
         self._assert_identical(ref, tight)
 
     def test_chunked_matches_loop_path(self):
-        """Chunk boundaries and the per-shot loop are the same stream."""
+        """Chunk boundaries and the scalar reference are the same stream."""
         c = compile_pattern(j_chain([0.2, 1.4, -0.6]))
         per_shot = 16 * 4 ** c.max_live
         chunked = self._records(c, 11, seed=13, max_block_bytes=2 * per_shot)
-        loop = get_backend("density").sample_batch(
-            c, 11, rng=np.random.default_rng(13), keep_raw=True,
-            vectorize=False,
-        )
+        loop = reference_density_sample(c, 11, seed=13)
         assert np.array_equal(chunked.outcomes, loop.outcomes)
-        for x, y in zip(chunked.raw, loop.raw):
-            assert np.allclose(x.rho.to_matrix(), y.rho.to_matrix(), atol=1e-9)
+        for x, y in zip(chunked.raw, loop.outputs):
+            assert np.allclose(x.rho.to_matrix(), y.to_matrix(), atol=1e-9)
 
 
 class TestGuards:
@@ -499,13 +502,13 @@ class TestGuards:
 
 class TestFrontierIntegration:
     """The frontier integrator (live-parity merging + cross-branch
-    batching) certified against the retained scalar reference path."""
+    batching) certified against the depth-first reference integrator."""
 
     def _both(self, program, **kw):
-        eng = get_backend("density")
+        ref_kw = {k: v for k, v in kw.items() if k == "prune_tol"}
         return (
-            eng.integrate(program, vectorize=False),
-            eng.integrate(program, **kw),
+            reference_integrate(program, **ref_kw),
+            get_backend("density").integrate(program, **kw),
         )
 
     def _ring_program(self, n=3, noise=None):
@@ -568,13 +571,11 @@ class TestFrontierIntegration:
 
     def test_max_branches_enforced_on_merged_bound(self):
         # ring(3): merged bound 64, raw bound 512 — a cap between the two
-        # gates the scalar path but lets the frontier through
+        # lets the frontier through
         program = self._ring_program()
         eng = get_backend("density")
         run = eng.integrate(program, max_branches=100)
         assert run.branches <= 100
-        with pytest.raises(PatternError, match="R102"):
-            eng.integrate(program, max_branches=100, vectorize=False)
         with pytest.raises(PatternError, match="R102"):
             eng.integrate(program, max_branches=32)
 
@@ -585,7 +586,6 @@ class TestFrontierIntegration:
         )
         scalar, frontier = self._both(noisy, prune_tol=0.2)
         eng = get_backend("density")
-        scalar = eng.integrate(noisy, prune_tol=0.2, vectorize=False)
         assert frontier.dropped_weight > 0.0
         assert frontier.trace + frontier.dropped_weight == pytest.approx(
             1.0, abs=1e-9
@@ -629,7 +629,7 @@ class TestShardedIntegration:
         program = self._noisy_ring()
         eng = get_backend("density")
         base = eng.integrate(program)
-        scalar = eng.integrate(program, vectorize=False)
+        scalar = reference_integrate(program)
         for shards in (2, 3):
             run = eng.integrate(program, shards=shards)
             assert np.abs(run.rho._t - base.rho._t).max() < 1e-12
@@ -654,14 +654,10 @@ class TestShardedIntegration:
         )
         eng = get_backend("density")
         run = eng.integrate(noisy, shards=4)
-        base = eng.integrate(noisy, vectorize=False)
+        base = reference_integrate(noisy)
         assert np.abs(run.rho._t - base.rho._t).max() < 1e-12
 
-    def test_shards_require_vectorized_path(self):
-        with pytest.raises(PatternError, match="shards"):
-            get_backend("density").integrate(
-                self._noisy_ring(), shards=2, vectorize=False
-            )
+    def test_shards_must_be_positive(self):
         with pytest.raises(ValueError, match="shards"):
             get_backend("density").integrate(self._noisy_ring(), shards=0)
 

@@ -2,9 +2,9 @@
 
 Covers registration and auto-dispatch off the compile-time
 ``interaction_width`` statistic, the seeded-stream bit-identity contract
-(records identical to the dense statevector engine on noiseless seeded
-runs, and MPS-internally across every chunk size and ``vectorize``
-setting — the PR 5 contract extended to the fourth engine), forced-branch
+(records identical to the dense statevector engine on noiseless and
+Pauli-noisy seeded runs, to the op-major scalar reference interpreter,
+and across every chunk size), forced-branch
 weights and states vs the dense reference, Pauli-channel noise via the
 shared fault stream, truncation-error surfacing, and scaling past dense
 reach on a bounded-width ring.
@@ -12,6 +12,7 @@ reach on a bounded-width ring.
 
 import numpy as np
 import pytest
+from reference_engine import reference_sample
 
 from repro.core import compile_qaoa_pattern
 from repro.core.verify import check_pattern_determinism
@@ -31,6 +32,7 @@ from repro.mbqc.channels import Channel, ChannelNoiseModel
 from repro.mbqc.noise import NoiseModel
 from repro.mbqc.pattern import PatternError
 from repro.problems import MaxCut
+from repro.sim.mps import MPSState
 
 
 def qaoa_pattern(n=4, gammas=(0.4,), betas=(0.7,)):
@@ -97,20 +99,19 @@ class TestBitIdentity:
 
     def test_records_match_scalar_path(self):
         compiled = ring_compiled(4)
-        eng = get_backend("mps")
-        vec = eng.sample_batch(compiled, 32, rng=9, vectorize=True)
-        ref = eng.sample_batch(compiled, 32, rng=9, vectorize=False)
+        vec = get_backend("mps").sample_batch(compiled, 32, rng=9)
+        ref = reference_sample(compiled, 32, 9, state=MPSState)
         assert np.array_equal(vec.outcomes, ref.outcomes)
 
     def test_noisy_records_match_across_paths(self):
-        """Pauli-channel noise rides the shared fault stream: chunked,
-        whole-block, and scalar paths stay bit-identical."""
+        """Pauli-channel noise rides the shared fault stream: chunked and
+        whole-block sweeps and the scalar reference stay bit-identical."""
         compiled = ring_compiled(4)
         noise = NoiseModel(p_prep=0.05, p_ent=0.03, p_meas=0.02)
         eng = get_backend("mps")
         kw = dict(rng=21, noise=noise)
-        ref = eng.sample_batch(compiled, 40, vectorize=False, **kw)
-        vec = eng.sample_batch(compiled, 40, vectorize=True, **kw)
+        ref = reference_sample(compiled, 40, 21, state=MPSState, noise=noise)
+        vec = eng.sample_batch(compiled, 40, **kw)
         tiny = eng.sample_batch(
             compiled, 40,
             max_block_bytes=2 * eng.bytes_per_shot(compiled), **kw,
@@ -120,6 +121,20 @@ class TestBitIdentity:
         # The noise actually bites: records differ from the noiseless run.
         clean = eng.sample_batch(compiled, 40, rng=21)
         assert not np.array_equal(ref.outcomes, clean.outcomes)
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_pauli_noisy_records_match_statevector_engine(self, n, seed):
+        """One fault-draw contract: under Pauli channels and readout flips
+        the MPS and statevector engines consume the identical stream, so
+        their seeded records are bit-identical, not just equidistributed."""
+        compiled = ring_compiled(n)
+        noise = NoiseModel(p_prep=0.05, p_ent=0.03, p_meas=0.02)
+        a = get_backend("mps").sample_batch(compiled, 64, rng=seed, noise=noise)
+        b = get_backend("statevector").sample_batch(
+            compiled, 64, rng=seed, noise=noise
+        )
+        assert np.array_equal(a.outcomes, b.outcomes)
 
 
 class TestBranches:

@@ -3,11 +3,23 @@
 import numpy as np
 import pytest
 
+from reference_engine import reference_sample
+
 from repro.core import compile_qaoa_pattern
 from repro.linalg import allclose_up_to_global_phase
-from repro.mbqc import Pattern, run_pattern
-from repro.mbqc.noise import NoiseModel, average_fidelity, run_pattern_noisy
+from repro.mbqc import Pattern, compile_pattern, run_pattern
+from repro.mbqc.noise import NoiseModel, average_fidelity
 from repro.problems import MaxCut
+
+
+def run_noisy(pattern, noise, seed, input_state=None):
+    """One noisy trajectory's output state on the scalar reference
+    interpreter (the noise program lowered onto the compiled ops)."""
+    run = reference_sample(
+        compile_pattern(pattern), 1, seed, input_state=input_state,
+        noise=noise,
+    )
+    return run.outputs[0]
 
 
 def j_pattern(alpha):
@@ -32,7 +44,7 @@ class TestNoisyRunner:
     def test_zero_noise_matches_ideal(self):
         compiled = compile_qaoa_pattern(MaxCut.ring(3).to_qubo(), [0.4], [0.7])
         ideal = run_pattern(compiled.pattern, seed=3).state_array()
-        noisy = run_pattern_noisy(compiled.pattern, NoiseModel(), seed=5).state_array()
+        noisy = run_noisy(compiled.pattern, NoiseModel(), seed=5)
         assert allclose_up_to_global_phase(noisy, ideal, atol=1e-9)
 
     def test_full_measurement_flip_changes_nothing_for_deterministic(self):
@@ -40,7 +52,7 @@ class TestNoisyRunner:
         pattern the corrections re-absorb it, so the state is unchanged."""
         p = j_pattern(0.8)
         ideal = run_pattern(p, seed=0).state_array()
-        noisy = run_pattern_noisy(p, NoiseModel(p_meas=1.0), seed=1).state_array()
+        noisy = run_noisy(p, NoiseModel(p_meas=1.0), seed=1)
         # A *readout* flip misleads the correction: state differs in
         # general.  Verify it is still normalized and a valid state.
         assert np.isclose(np.linalg.norm(noisy), 1.0)
@@ -79,11 +91,13 @@ class TestNoisyRunner:
 
         p = j_pattern(0.1)
         with pytest.raises(ValueError):
-            run_pattern_noisy(p, NoiseModel(), input_state=StateVector.plus(2))
+            run_noisy(p, NoiseModel(), seed=0, input_state=StateVector.plus(2))
+        with pytest.raises(ValueError):
+            run_pattern(p, seed=0, input_state=StateVector.plus(2))
 
 
 class TestInterpreterExecutesLoweredNoise:
-    """run_pattern's in-process interpreter (backend=None) consumes the
+    """run_pattern (a one-shot statevector ``sample_batch``) consumes the
     same lowered noise program as the batched engines."""
 
     def test_readout_flip_applies_to_record(self):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_engine import reference_stabilizer_sample
 from stat_helpers import assert_bit_marginals_agree
 
 from repro.core import compile_qaoa_pattern
@@ -526,12 +527,6 @@ class TestVerifyStabilizerPath:
             p, max_branches=6, seed=0, backend="stabilizer"
         )
 
-    def test_run_pattern_dispatch_rejects_renormalize_false(self):
-        p = Pattern(input_nodes=[], output_nodes=[1])
-        p.n(0).n(1).e(0, 1).m(0, "XY", 0.0).x(1, {0})
-        with pytest.raises(PatternError, match="renormalize"):
-            run_pattern(p, renormalize=False, backend="statevector")
-
     def test_stabilizer_check_rejects_open_inputs(self):
         p = Pattern(input_nodes=[0], output_nodes=[1])
         p.n(1).e(0, 1).m(0, "XY", 0.0).x(1, {0})
@@ -540,26 +535,25 @@ class TestVerifyStabilizerPath:
 
 
 class TestBatchedTableauSampler:
-    """The vectorized (bit-packed batched tableau) sampler vs the retained
-    per-shot loop: same seed, same whole-block draw schedule — trajectories
-    must agree **bit for bit**, not just in distribution."""
+    """The bit-packed batched tableau sampler vs the engine's scalar
+    ``_run_one`` driven shot by shot (``tests/reference_engine.py``): same
+    seed, same whole-block draw schedule — trajectories must agree **bit
+    for bit**, not just in distribution."""
 
     def _both_paths(self, compiled, n_shots, seed, noise=None):
-        sb = get_backend("stabilizer")
-        vec = sb.sample_batch(
+        vec = get_backend("stabilizer").sample_batch(
             compiled, n_shots, rng=np.random.default_rng(seed), noise=noise,
-            keep_raw=True, vectorize=True,
+            keep_raw=True,
         )
-        loop = sb.sample_batch(
-            compiled, n_shots, rng=np.random.default_rng(seed), noise=noise,
-            keep_raw=True, vectorize=False,
+        loop = reference_stabilizer_sample(
+            compiled, n_shots, np.random.default_rng(seed), noise=noise
         )
         return vec, loop
 
     def _assert_identical(self, vec, loop):
         assert np.array_equal(vec.outcomes, loop.outcomes)
-        assert len(vec.raw) == len(loop.raw)
-        for a, b in zip(vec.raw, loop.raw):
+        assert len(vec.raw) == len(loop.outputs)
+        for a, b in zip(vec.raw, loop.outputs):
             assert a.log2_weight == b.log2_weight
             assert a.canonical_key() == b.canonical_key()
             assert np.allclose(a.probabilities(), b.probabilities(), atol=1e-9)
@@ -580,8 +574,8 @@ class TestBatchedTableauSampler:
 
     def test_bit_identical_under_pauli_noise(self):
         """Readout flips and channel faults ride the same whole-block draw
-        schedule on both paths (draw_pauli_fault_batch, one vector draw per
-        channel op) — bit-identity survives a noise-lowered program."""
+        schedule on both paths (one partitioned uniform vector per channel
+        op) — bit-identity survives a noise-lowered program."""
         from repro.mbqc.noise import NoiseModel
 
         qubo = MaxCut.ring(5).to_qubo()
@@ -596,12 +590,15 @@ class TestBatchedTableauSampler:
         pattern = random_clifford_pattern(9)
         c = compile_pattern(pattern)
         branch = _reachable_branch(c)
-        sb = get_backend("stabilizer")
-        for vectorize in (True, False):
-            run = sb.sample_batch(
-                c, 5, rng=np.random.default_rng(0), forced_outcomes=branch,
-                vectorize=vectorize,
-            )
+        runs = (
+            get_backend("stabilizer").sample_batch(
+                c, 5, rng=np.random.default_rng(0), forced_outcomes=branch
+            ),
+            reference_stabilizer_sample(
+                c, 5, np.random.default_rng(0), forced_outcomes=branch
+            ),
+        )
+        for run in runs:
             assert np.array_equal(
                 run.outcomes,
                 np.tile([branch[n] for n in c.measured_nodes], (5, 1)),
@@ -614,13 +611,14 @@ class TestBatchedTableauSampler:
         p.n(0, "zero").n(1)
         p.m(0, "YZ", 0.0)  # deterministic: only outcome 0 is reachable
         c = compile_pattern(p)
-        sb = get_backend("stabilizer")
-        for vectorize in (True, False):
-            with pytest.raises(ZeroProbabilityBranch):
-                sb.sample_batch(
-                    c, 3, rng=np.random.default_rng(0),
-                    forced_outcomes={0: 1}, vectorize=vectorize,
-                )
+        with pytest.raises(ZeroProbabilityBranch):
+            get_backend("stabilizer").sample_batch(
+                c, 3, rng=np.random.default_rng(0), forced_outcomes={0: 1}
+            )
+        with pytest.raises(ZeroProbabilityBranch):
+            reference_stabilizer_sample(
+                c, 3, np.random.default_rng(0), forced_outcomes={0: 1}
+            )
 
     def test_keep_raw_default_off(self):
         """The memory fix: sample_batch no longer retains per-shot outputs
@@ -636,15 +634,14 @@ class TestBatchedTableauSampler:
             run.dense_states()
 
     def test_packed_outputs_share_extraction(self):
-        """keep_raw=True on the vectorized path yields per-shot views into
-        one shared extraction (O(n_out) per shot), equal to the loop path's
-        full StabilizerOutput tableaus."""
+        """keep_raw=True on the batched sweep yields per-shot views into
+        one shared extraction (O(n_out) per shot)."""
         from repro.mbqc import PackedStabilizerOutput
 
         qubo = MaxCut.ring(4).to_qubo()
         c = compile_pattern(compile_qaoa_pattern(qubo, [0.0], [0.0]).pattern)
         run = get_backend("stabilizer").sample_batch(
-            c, 6, rng=np.random.default_rng(2), keep_raw=True, vectorize=True
+            c, 6, rng=np.random.default_rng(2), keep_raw=True
         )
         assert all(isinstance(out, PackedStabilizerOutput) for out in run.raw)
         assert run.raw[0].batch is run.raw[1].batch
@@ -688,15 +685,6 @@ class TestBatchedTableauSampler:
             noise=NoiseModel(p_meas=0.2),
         )
         assert run.outcomes.shape == (64, 2)
-        # Forcing vectorization on such a program is refused loudly.
-        with pytest.raises(PatternError, match="vectorize"):
-            sb.sample_batch(hacked, 4, rng=0, vectorize=True)
-
-    def test_vectorize_true_rejects_empty_register(self):
-        p = Pattern(input_nodes=[], output_nodes=[])
-        c = compile_pattern(p)
-        with pytest.raises(PatternError, match="vectorize"):
-            get_backend("stabilizer").sample_batch(c, 2, rng=0, vectorize=True)
 
     def test_engine_named_errors(self):
         qubo = MaxCut.ring(3).to_qubo()
@@ -712,7 +700,7 @@ class TestBatchedTableauSampler:
             )
 
     def test_sampled_distribution_matches_dense(self):
-        """The vectorized sampler still draws from the Born distribution:
+        """The batched sampler still draws from the Born distribution:
         cross-check empirical frequencies against the dense engine."""
         qubo = MaxCut.ring(4).to_qubo()
         c = compile_pattern(compile_qaoa_pattern(qubo, [0.0], [0.0]).pattern)
@@ -721,7 +709,7 @@ class TestBatchedTableauSampler:
             c, n_shots, rng=np.random.default_rng(21)
         )
         sb_run = get_backend("stabilizer").sample_batch(
-            c, n_shots, rng=np.random.default_rng(22), vectorize=True
+            c, n_shots, rng=np.random.default_rng(22)
         )
         # Compare marginal outcome frequencies per measured node within
         # combined two-sample standard errors (shared certification helper).
