@@ -65,7 +65,7 @@ CODES = {
     "R103": "shard timeout: a supervised shard exceeded its wall-clock budget",
     "R104": "worker death: a supervised shard worker died or errored and was retried",
     "R105": "backend fallback: the degradation chain routed past a failed link",
-    "R106": "compiled-pattern cache event (hit, miss, store, or poisoned entry)",
+    "R106": "compiled-pattern cache event (info, hit/miss traffic)",
     "C001": "np.random.default_rng called outside repro.utils.rng",
     "C002": "global numpy.random state used (unseeded, unreproducible)",
     "C003": "scalar RNG draw inside a kernel loop (breaks whole-block draw tables)",

@@ -313,46 +313,23 @@ def cache_diagnostics(stats: object) -> Tuple["Diagnostic", ...]:
     """R106 rows for a serving-layer compiled-pattern cache.
 
     ``stats`` is a :class:`repro.serve.cache.CacheStats` (structurally: an
-    object with ``memory_hits``/``disk_hits``/``misses``/``stores``/
-    ``poisoned`` counters).  Hit/miss traffic is an INFO row; poisoned
-    entries get their own WARNING row — corruption is self-healing (the
-    entry is recompiled and re-stored) but worth surfacing, since it
-    usually means a torn write or a stray process scribbling on the
-    cache directory.
+    object with ``hits``/``misses`` counters).  Hit/miss traffic is one
+    INFO row; a cache that saw no traffic yields none.
     """
     from repro.analysis.diagnostics import Diagnostic, Severity
 
-    memory_hits = int(getattr(stats, "memory_hits", 0))
-    disk_hits = int(getattr(stats, "disk_hits", 0))
+    hits = int(getattr(stats, "hits", 0))
     misses = int(getattr(stats, "misses", 0))
-    stores = int(getattr(stats, "stores", 0))
-    poisoned = int(getattr(stats, "poisoned", 0))
-    total = memory_hits + disk_hits + misses
-    rows: List["Diagnostic"] = []
-    if total:
-        hit_rate = (memory_hits + disk_hits) / total
-        rows.append(
-            Diagnostic(
-                code="R106",
-                severity=Severity.INFO,
-                message=(
-                    f"pattern cache: {memory_hits + disk_hits}/{total} hits "
-                    f"({hit_rate:.0%}; {memory_hits} memory, {disk_hits} disk), "
-                    f"{misses} compiles, {stores} stores"
-                ),
-            )
-        )
-    if poisoned:
-        rows.append(
-            Diagnostic(
-                code="R106",
-                severity=Severity.WARNING,
-                message=(
-                    f"pattern cache: {poisoned} poisoned entr"
-                    f"{'y' if poisoned == 1 else 'ies'} detected and "
-                    f"recompiled (torn write or external corruption; "
-                    f"entries were re-stored)"
-                ),
-            )
-        )
-    return tuple(rows)
+    total = hits + misses
+    if not total:
+        return ()
+    return (
+        Diagnostic(
+            code="R106",
+            severity=Severity.INFO,
+            message=(
+                f"pattern cache: {hits}/{total} hits ({hits / total:.0%}), "
+                f"{misses} compiles"
+            ),
+        ),
+    )

@@ -17,8 +17,8 @@ Subcommands
                ``--port``), coalesce same-pattern jobs into fused
                ``sample_batch`` calls across a worker pool, and stream
                per-block events plus a final records-sha256 receipt per
-               job; ``--cache-dir`` adds the content-addressed
-               compiled-pattern cache (shared with ``run --cache-dir``)
+               job; jobs repeating a program reuse its compiled form
+               from an in-process cache
 
 ``run``, ``verify``, and ``lint`` take ``--backend`` with choices drawn
 from the engine registry at parse time (``auto`` plus every registered
@@ -187,25 +187,6 @@ def _resume_args(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
-def _compile_program(compiled_qaoa, cache_dir: Optional[str]):
-    """The executable form of a compiled QAOA protocol, optionally via the
-    content-addressed compiled-pattern cache (``--cache-dir``)."""
-    if cache_dir is None:
-        return compiled_qaoa.executable()
-    from repro.mbqc.compile import compile_pattern
-
-    return compile_pattern(compiled_qaoa.pattern, cache_dir=cache_dir)
-
-
-def _print_cache_stats(cache_dir: Optional[str]) -> None:
-    if cache_dir is None:
-        return
-    from repro.serve.cache import get_cache
-
-    for diag in get_cache(cache_dir).stats.diagnostics():
-        print(diag.format())
-
-
 def _cmd_run_job(args: argparse.Namespace) -> int:
     """The checkpointed records-only job path of ``repro run``."""
     from repro.exec import records_digest, run_checkpointed
@@ -214,9 +195,7 @@ def _cmd_run_job(args: argparse.Namespace) -> int:
     gammas, betas = _resolve_params(
         qubo, args.p, args.gamma, args.beta, args.optimize, args.seed
     )
-    program = _compile_program(
-        compile_qaoa_pattern(qubo, gammas, betas), getattr(args, "cache_dir", None)
-    )
+    program = compile_qaoa_pattern(qubo, gammas, betas).executable()
     noise = NoiseModel(p_prep=args.noise, p_ent=args.noise, p_meas=args.noise) \
         if args.noise else None
     # Persist the resolved parameters (not the unresolved flags) so a
@@ -245,7 +224,6 @@ def _cmd_run_job(args: argparse.Namespace) -> int:
     print(f"blocks reused  {len(result.blocks_reused)}")
     print(f"blocks run     {len(result.blocks_run)}")
     print(f"records sha256 {records_digest(result.run)}")
-    _print_cache_stats(getattr(args, "cache_dir", None))
     return 0
 
 
@@ -266,7 +244,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     name, qubo, problem = parse_problem(args.problem)
     gammas, betas = _resolve_params(qubo, args.p, args.gamma, args.beta, args.optimize, args.seed)
     compiled = compile_qaoa_pattern(qubo, gammas, betas)
-    program = _compile_program(compiled, getattr(args, "cache_dir", None))
+    program = compiled.executable()
     noise = NoiseModel(p_prep=args.noise, p_ent=args.noise, p_meas=args.noise) \
         if args.noise else None
     cost = qubo.cost_vector()
@@ -380,7 +358,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     if isinstance(problem, MaxCut):
         print(f"best cut       {problem.cut_value(int_to_bitstring(best_idx, n)):.0f} "
               f"(optimum {problem.max_cut_value():.0f})")
-    _print_cache_stats(getattr(args, "cache_dir", None))
     return 0
 
 
@@ -513,7 +490,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import JobServer, serve_socket, serve_stdin
 
     server = JobServer(
-        cache_dir=args.cache_dir,
         workers=args.workers,
         max_batch_shots=args.max_batch_shots,
         coalesce=not args.no_coalesce,
@@ -620,11 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="finish the checkpointed job in JOBDIR using the "
                     "parameters persisted in its manifest (the problem "
                     "spec argument is then not needed)")
-    pr.add_argument("--cache-dir", default=None, dest="cache_dir", metavar="DIR",
-                    help="compile through the content-addressed pattern "
-                    "cache rooted at DIR: repeat traffic for the same "
-                    "pattern skips compilation (R106 diagnostics report "
-                    "hit/miss counts)")
     pr.set_defaults(func=cmd_run)
 
     pd = sub.add_parser("verify", help="branch-exhaustive determinism check")
@@ -687,9 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="async job server: JSON jobs over stdin or a local socket, "
         "coalesced across a worker pool, streamed receipts",
     )
-    pj.add_argument("--cache-dir", default=None, dest="cache_dir", metavar="DIR",
-                    help="content-addressed compiled-pattern cache directory "
-                    "(shared with `repro run --cache-dir`)")
     pj.add_argument("--workers", type=int, default=2,
                     help="worker pool size for block execution")
     pj.add_argument("--max-batch-shots", type=int, default=4096,

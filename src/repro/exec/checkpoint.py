@@ -164,8 +164,7 @@ def atomic_write_bytes(path: str, blob: bytes) -> None:
     Each writer stages into its own ``mkstemp`` file (a shared
     ``path + ".tmp"`` name would let two workers interleave writes and
     ``os.replace`` each other's torn output) and fsyncs before the atomic
-    rename, so a crash cannot publish a partially flushed file.  Also
-    used by the ``repro.serve`` compiled-pattern cache.
+    rename, so a crash cannot publish a partially flushed file.
     """
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(

@@ -392,7 +392,6 @@ def compile_pattern(
     pattern: Pattern,
     validate: bool = True,
     verify_ir: bool = False,
-    cache_dir: Optional[str] = None,
 ) -> CompiledPattern:
     """Lower ``pattern`` to a :class:`CompiledPattern`.
 
@@ -407,19 +406,7 @@ def compile_pattern(
     every error-severity diagnostic is raised if the IR is malformed — an
     end-to-end compiler self-check, useful when developing new lowering
     passes.
-
-    With ``cache_dir`` set, the compile goes through the content-addressed
-    :mod:`repro.serve.cache` store rooted there: a digest hit (from this
-    process's memory tier or any process's disk tier) skips the compile
-    walk entirely and a miss persists the result for the next caller.
     """
-    if cache_dir is not None:
-        # Deferred: repro.serve sits above the IR in the layering.
-        from repro.serve.cache import get_cache
-
-        return get_cache(cache_dir).get_or_compile(
-            pattern, validate=validate, verify_ir=verify_ir
-        )
     if validate:
         pattern.validate()
 

@@ -101,8 +101,8 @@ def pattern_from_dict(data: Dict[str, Any]) -> Pattern:
 
 
 def canonical_json(data: Any) -> str:
-    """Deterministic JSON encoding (sorted keys, no whitespace) — the byte
-    form hashed by the ``repro.serve`` content-addressed cache.  Two
+    """Deterministic JSON encoding (sorted keys, no whitespace) — the
+    ``repro.serve`` cache key's byte form.  Two
     equal plain-data trees always encode to the same string, across
     processes and platforms (CPython float repr is shortest-roundtrip)."""
     return json.dumps(data, sort_keys=True, separators=(",", ":"))

@@ -1,7 +1,8 @@
 """The serving layer (``repro.serve``).
 
-Compile-once / serve-many execution for the pattern engines: a
-content-addressed compiled-pattern cache (:mod:`~repro.serve.cache`),
+Compile-once / serve-many execution for the pattern engines: an
+in-process compiled-program cache keyed by the job's program spec
+(:mod:`~repro.serve.cache`),
 an async job server with a worker pool and per-block streaming
 (:mod:`~repro.serve.server`), and backpressure-aware batching that
 fuses queued jobs on the same compiled-pattern digest into one
@@ -18,13 +19,7 @@ from repro.serve.batching import (
     pack_tasks,
     run_coalesced,
 )
-from repro.serve.cache import (
-    CACHE_FORMAT_VERSION,
-    CacheStats,
-    PatternCache,
-    get_cache,
-    pattern_digest,
-)
+from repro.serve.cache import CacheStats, PatternCache
 from repro.serve.jobs import JobResult, JobSpec, records_sha256
 from repro.serve.server import (
     DEFAULT_MAX_BATCH_SHOTS,
@@ -40,11 +35,8 @@ __all__ = [
     "MuxScheduleError",
     "pack_tasks",
     "run_coalesced",
-    "CACHE_FORMAT_VERSION",
     "CacheStats",
     "PatternCache",
-    "get_cache",
-    "pattern_digest",
     "JobResult",
     "JobSpec",
     "records_sha256",

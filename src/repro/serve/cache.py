@@ -1,168 +1,72 @@
-"""Content-addressed compiled-pattern cache.
+"""In-process compiled-program cache, keyed by the job's program.
 
-The serving layer's compile-once story: a :class:`PatternCache` maps the
-SHA-256 of *what is being compiled* — the canonical serialized pattern,
-the lowered noise IR, and the compile options — to the pickled
-:class:`~repro.mbqc.compile.CompiledPattern`.  Repeat traffic (the same
-pattern + noise arriving again, from this process or any other) skips
-compilation entirely.
+A served job's program is fully determined by its spec: the QUBO
+(``problem``) and the effective angles, or an explicit ``pattern``, plus
+the noise model.  :class:`PatternCache` keys on the canonical JSON of
+exactly those fields (noise is ``None`` for ``verify`` jobs, which
+inspect the noiseless program), so a hit builds no pattern at all; a
+miss runs ``build_pattern → compile_pattern → lower_noise``.  The
+reported digest is the SHA-256 of the key — the server's fusion key and
+the ``digest`` field of its events.
 
-Two tiers:
-
-* an in-process memory tier (bounded FIFO of live ``CompiledPattern``
-  objects keyed by digest — they are frozen, so sharing is safe), and
-* a disk tier under ``cache_dir/objects/<d[:2]>/<digest>.cpc`` with the
-  same discipline as :mod:`repro.exec.checkpoint` block files: a
-  one-line JSON header (format version, digest, payload SHA-256 and
-  size) followed by the pickle payload, published with
-  :func:`repro.exec.checkpoint.atomic_write_bytes` so concurrent
-  writers and crashes can never tear an entry.
-
-A poisoned entry (truncated, bit-flipped, version-skewed, or carrying
-the wrong digest) fails validation on load and is treated as a miss —
-the caller recompiles and the re-store heals the file.  Every cache
-event increments :class:`CacheStats`, whose :meth:`CacheStats.diagnostics`
-rows carry the stable code R106 (see
+One lock-guarded LRU of at most :data:`MAX_ENTRIES` live
+:class:`~repro.mbqc.compile.CompiledPattern` objects (frozen, so sharing
+them is safe).  Nothing is persisted: loading a serialised Python
+object from a shared directory runs code, and a stored entry goes stale
+after a compiler change, while recompiling costs a millisecond or two.
+Hit/miss traffic accumulates in :class:`CacheStats`, rendered as R106
+diagnostics (see
 :func:`repro.analysis.resources.cache_diagnostics`).
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-import pickle
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.exec.checkpoint import atomic_write_bytes
 from repro.mbqc.channels import as_channel_model
 from repro.mbqc.compile import CompiledPattern, compile_pattern, lower_noise
-from repro.mbqc.pattern import Pattern
-from repro.mbqc.serialize import (
-    canonical_json,
-    noise_model_to_dict,
-    pattern_to_dict,
-)
+from repro.mbqc.noise import NoiseModel
+from repro.mbqc.serialize import canonical_json, noise_model_to_dict
+from repro.serve.jobs import JobSpec
 
-#: On-disk cache entry format version (header field, checked on load).
-CACHE_FORMAT_VERSION = 1
-
-#: Default bound on the in-process memory tier (entries, FIFO eviction).
-DEFAULT_MEMORY_ENTRIES = 256
-
-_OBJECTS_DIR = "objects"
-_ENTRY_SUFFIX = ".cpc"
-
-# Serialization memos for the digest hot path.  Keys are *values* — the
-# pattern's (immutable) command tuple and node lists, or the noise object
-# itself when hashable — so equal keys imply equal serializations and the
-# memo can never change a digest, only skip recomputing it.  Serving
-# repeat traffic hits pattern_digest once per request; without the memo
-# the canonical-JSON round trip dominates a memory-tier cache hit.
-_JSON_MEMO_ENTRIES = 64
-_PATTERN_JSON_MEMO: "OrderedDict[tuple, str]" = OrderedDict()
-_NOISE_JSON_MEMO: "OrderedDict[object, str]" = OrderedDict()
-_JSON_MEMO_LOCK = threading.Lock()
+#: Bound on live entries; the least recently used one is evicted first.
+MAX_ENTRIES = 256
 
 
-def _memo_get(memo: "OrderedDict", key: object) -> Optional[str]:
-    with _JSON_MEMO_LOCK:
-        return memo.get(key)
-
-
-def _memo_put(memo: "OrderedDict", key: object, text: str) -> None:
-    with _JSON_MEMO_LOCK:
-        memo[key] = text
-        while len(memo) > _JSON_MEMO_ENTRIES:
-            memo.popitem(last=False)
-
-
-def _canonical_pattern_json(pattern: Pattern) -> str:
-    key = (
-        tuple(pattern.commands),
-        tuple(pattern.input_nodes),
-        tuple(pattern.output_nodes),
-    )
-    cached = _memo_get(_PATTERN_JSON_MEMO, key)
-    if cached is not None:
-        return cached
-    text = canonical_json(pattern_to_dict(pattern))
-    _memo_put(_PATTERN_JSON_MEMO, key, text)
-    return text
-
-
-def _canonical_noise_json(noise: object) -> str:
+def _noise_key(noise: Optional[object]) -> Optional[dict]:
     if noise is None:
-        return "null"
-    try:
-        hash(noise)
-    except TypeError:
-        key = None  # unhashable model: serialize every time
-    else:
-        key = noise
-        cached = _memo_get(_NOISE_JSON_MEMO, key)
-        if cached is not None:
-            return cached
-    model = as_channel_model(noise)
-    text = (
-        canonical_json(noise_model_to_dict(model)) if model is not None else "null"
+        return None
+    if isinstance(noise, NoiseModel):
+        # The probability bag determines its lowering; serialising the
+        # lowered Kraus channels would cost ~10x more per submit.
+        return {"p_prep": noise.p_prep, "p_ent": noise.p_ent, "p_meas": noise.p_meas}
+    return noise_model_to_dict(as_channel_model(noise))
+
+
+def _program_key(spec: JobSpec) -> str:
+    """Canonical JSON of the spec fields that determine the program."""
+    gammas, betas = spec.angles()
+    return canonical_json(
+        {
+            "problem": spec.problem,
+            "gammas": list(gammas),
+            "betas": list(betas),
+            "pattern": spec.pattern_data,
+            "noise": None if spec.kind == "verify" else _noise_key(spec.noise),
+        }
     )
-    if key is not None:
-        _memo_put(_NOISE_JSON_MEMO, key, text)
-    return text
-
-
-def pattern_digest(
-    pattern: Pattern,
-    noise: Optional[object] = None,
-    options: Optional[dict] = None,
-) -> str:
-    """The content address of ``compile_pattern(pattern) + lower_noise``.
-
-    SHA-256 over NUL-separated canonical JSON of the pattern, the noise
-    model (coerced through :func:`~repro.mbqc.channels.as_channel_model`;
-    ``null`` when absent), and the compile options — so the digest is a
-    pure function of the compilation *inputs*, stable across processes,
-    and independent of dict ordering or whitespace.
-    """
-    parts = (
-        f"cache-v{CACHE_FORMAT_VERSION}",
-        _canonical_pattern_json(pattern),
-        _canonical_noise_json(noise),
-        canonical_json(dict(options or {})),
-    )
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(part.encode())
-        h.update(b"\x00")
-    return h.hexdigest()
 
 
 @dataclass
 class CacheStats:
     """Counters for one cache's lifetime, surfaced as R106 diagnostics."""
 
-    memory_hits: int = 0
-    disk_hits: int = 0
+    hits: int = 0
     misses: int = 0
-    stores: int = 0
-    poisoned: int = 0
-
-    @property
-    def hits(self) -> int:
-        return self.memory_hits + self.disk_hits
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "memory_hits": self.memory_hits,
-            "disk_hits": self.disk_hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "poisoned": self.poisoned,
-        }
 
     def diagnostics(self):
         """R106 rows for this cache — see
@@ -173,186 +77,32 @@ class CacheStats:
 
 
 class PatternCache:
-    """Two-tier content-addressed store of compiled patterns.
+    """LRU of compiled, noise-lowered programs keyed by job spec."""
 
-    ``cache_dir=None`` disables the disk tier (memory-only memo);
-    ``memory_entries=0`` disables the memory tier.  Thread-safe: the
-    memory tier is lock-guarded, the disk tier relies on atomic
-    publication, so any number of threads/processes may share one
-    ``cache_dir``.
-    """
-
-    def __init__(
-        self,
-        cache_dir: Optional[str] = None,
-        *,
-        memory_entries: int = DEFAULT_MEMORY_ENTRIES,
-    ) -> None:
-        self.cache_dir = os.fspath(cache_dir) if cache_dir is not None else None
+    def __init__(self) -> None:
         self.stats = CacheStats()
-        self._memory: "OrderedDict[str, CompiledPattern]" = OrderedDict()
-        self._memory_entries = int(memory_entries)
+        self._entries: "OrderedDict[str, CompiledPattern]" = OrderedDict()
         self._lock = threading.Lock()
 
-    # -- paths ---------------------------------------------------------------
-    def entry_path(self, digest: str) -> str:
-        if self.cache_dir is None:
-            raise ValueError("this cache has no disk tier (cache_dir=None)")
-        return os.path.join(
-            self.cache_dir, _OBJECTS_DIR, digest[:2], digest + _ENTRY_SUFFIX
-        )
-
-    # -- the compile-through API --------------------------------------------
-    def get_or_compile(
-        self,
-        pattern: Pattern,
-        *,
-        noise: Optional[object] = None,
-        validate: bool = True,
-        verify_ir: bool = False,
-    ) -> CompiledPattern:
-        """The compiled (and noise-lowered) form of ``pattern``, from the
-        memory tier, the disk tier, or a fresh compile — in that order.
-        A fresh compile is stored to both tiers, so the *next* caller
-        anywhere on the machine gets the hit."""
-        return self.get_or_compile_status(
-            pattern, noise=noise, validate=validate, verify_ir=verify_ir
-        )[0]
-
     def get_or_compile_status(
-        self,
-        pattern: Pattern,
-        *,
-        noise: Optional[object] = None,
-        validate: bool = True,
-        verify_ir: bool = False,
+        self, spec: JobSpec
     ) -> Tuple[CompiledPattern, str, str]:
-        """Like :meth:`get_or_compile` but also reports provenance:
-        ``(compiled, digest, status)`` with status one of ``"memory-hit"``,
-        ``"disk-hit"``, ``"miss"``."""
-        options = {"validate": bool(validate), "verify_ir": bool(verify_ir)}
-        digest = pattern_digest(pattern, noise=noise, options=options)
-        compiled = self._memory_get(digest)
-        if compiled is not None:
-            self.stats.memory_hits += 1
-            return compiled, digest, "memory-hit"
-        compiled = self.load(digest)
-        if compiled is not None:
-            self.stats.disk_hits += 1
-            self._memory_put(digest, compiled)
-            return compiled, digest, "disk-hit"
-        self.stats.misses += 1
-        compiled = compile_pattern(pattern, validate=validate, verify_ir=verify_ir)
-        if noise is not None:
-            compiled = lower_noise(compiled, noise)
-        self.store(digest, compiled)
-        self._memory_put(digest, compiled)
+        """``(compiled, digest, status)`` for ``spec``'s program, with
+        status ``"hit"`` or ``"miss"``."""
+        key = _program_key(spec)
+        digest = hashlib.sha256(key.encode()).hexdigest()
+        with self._lock:
+            compiled = self._entries.get(key)
+            if compiled is not None:
+                self._entries.move_to_end(key)
+                self.stats.hits += 1
+                return compiled, digest, "hit"
+            self.stats.misses += 1
+        compiled = compile_pattern(spec.build_pattern())
+        if spec.kind != "verify" and spec.noise is not None:
+            compiled = lower_noise(compiled, spec.noise)
+        with self._lock:
+            self._entries[key] = compiled
+            while len(self._entries) > MAX_ENTRIES:
+                self._entries.popitem(last=False)
         return compiled, digest, "miss"
-
-    def digest_for(
-        self,
-        pattern: Pattern,
-        *,
-        noise: Optional[object] = None,
-        validate: bool = True,
-        verify_ir: bool = False,
-    ) -> str:
-        """The digest :meth:`get_or_compile` would use for these inputs."""
-        options = {"validate": bool(validate), "verify_ir": bool(verify_ir)}
-        return pattern_digest(pattern, noise=noise, options=options)
-
-    # -- memory tier ---------------------------------------------------------
-    def _memory_get(self, digest: str) -> Optional[CompiledPattern]:
-        with self._lock:
-            return self._memory.get(digest)
-
-    def _memory_put(self, digest: str, compiled: CompiledPattern) -> None:
-        if self._memory_entries <= 0:
-            return
-        with self._lock:
-            self._memory[digest] = compiled
-            while len(self._memory) > self._memory_entries:
-                self._memory.popitem(last=False)
-
-    # -- disk tier -----------------------------------------------------------
-    def store(self, digest: str, compiled: CompiledPattern) -> Optional[str]:
-        """Persist ``compiled`` under ``digest``; returns the entry path
-        (``None`` without a disk tier).  Safe under concurrent writers:
-        every writer stages privately and the last atomic rename wins —
-        all of them wrote byte-equal payload modulo pickle memo order,
-        and every published file is internally consistent."""
-        if self.cache_dir is None:
-            return None
-        payload = pickle.dumps(compiled, protocol=pickle.HIGHEST_PROTOCOL)
-        header = {
-            "version": CACHE_FORMAT_VERSION,
-            "digest": digest,
-            "payload_sha256": hashlib.sha256(payload).hexdigest(),
-            "payload_bytes": len(payload),
-        }
-        path = self.entry_path(digest)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        atomic_write_bytes(path, json.dumps(header).encode() + b"\n" + payload)
-        self.stats.stores += 1
-        return path
-
-    def load(self, digest: str) -> Optional[CompiledPattern]:
-        """The disk entry for ``digest``, or ``None`` when absent *or*
-        when any integrity check fails (counted as ``poisoned``) — a
-        poisoned entry is indistinguishable from a miss to callers, who
-        recompile and heal it by re-storing."""
-        if self.cache_dir is None:
-            return None
-        try:
-            with open(self.entry_path(digest), "rb") as fh:
-                blob = fh.read()
-        except OSError:
-            return None
-        sep = blob.find(b"\n")
-        if sep < 0:
-            self.stats.poisoned += 1
-            return None
-        try:
-            header = json.loads(blob[:sep].decode())
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            self.stats.poisoned += 1
-            return None
-        payload = blob[sep + 1:]
-        if not (
-            isinstance(header, dict)
-            and header.get("version") == CACHE_FORMAT_VERSION
-            and header.get("digest") == digest
-            and header.get("payload_bytes") == len(payload)
-            and header.get("payload_sha256")
-            == hashlib.sha256(payload).hexdigest()
-        ):
-            self.stats.poisoned += 1
-            return None
-        try:
-            compiled = pickle.loads(payload)
-        except Exception:
-            self.stats.poisoned += 1
-            return None
-        if not isinstance(compiled, CompiledPattern):
-            self.stats.poisoned += 1
-            return None
-        return compiled
-
-
-# -- per-directory shared instances ------------------------------------------
-
-_CACHES: Dict[str, PatternCache] = {}
-_CACHES_LOCK = threading.Lock()
-
-
-def get_cache(cache_dir: str) -> PatternCache:
-    """The process-wide :class:`PatternCache` for ``cache_dir`` — shared so
-    every ``compile_pattern(cache_dir=...)`` call in a process benefits
-    from one memory tier and one stats ledger per directory."""
-    key = os.path.abspath(os.fspath(cache_dir))
-    with _CACHES_LOCK:
-        cache = _CACHES.get(key)
-        if cache is None:
-            cache = PatternCache(key)
-            _CACHES[key] = cache
-        return cache

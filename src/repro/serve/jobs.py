@@ -124,9 +124,14 @@ class JobSpec:
             noise=parse_noise(data.get("noise"), job_id=job_id),
         )
 
+    def angles(self) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+        """The effective ``(gammas, betas)``: a verify job given none
+        runs at the defaults ``(0.4,)``/``(0.7,)``."""
+        return self.gammas or (0.4,), self.betas or (0.7,)
+
     def build_pattern(self) -> Pattern:
-        """The measurement pattern this job executes (built fresh — the
-        cache decides whether compilation is needed)."""
+        """The measurement pattern this job executes, built fresh (the
+        serve cache calls this only on a miss)."""
         if self.pattern_data is not None:
             return pattern_from_dict(self.pattern_data)
         # Deferred: the CLI sits above the serving layer in the module
@@ -135,8 +140,7 @@ class JobSpec:
         from repro.core.compiler import compile_qaoa_pattern
 
         _, qubo, _ = parse_problem(self.problem or "")
-        gammas = self.gammas or (0.4,)
-        betas = self.betas or (0.7,)
+        gammas, betas = self.angles()
         return compile_qaoa_pattern(qubo, list(gammas), list(betas)).pattern
 
 
@@ -182,7 +186,7 @@ class JobState:
     spec: JobSpec
     digest: str
     backend: str
-    cache_status: str  # "memory-hit" | "disk-hit" | "miss"
+    cache_status: str  # "hit" | "miss"
     n_blocks: int
     pieces: List[Optional[np.ndarray]] = field(default_factory=list)
     done_blocks: int = 0

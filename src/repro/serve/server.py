@@ -2,7 +2,8 @@
 
 :class:`JobServer` accepts run/verify/sample jobs (see
 :mod:`repro.serve.jobs`), compiles each job's program through the
-content-addressed :class:`~repro.serve.cache.PatternCache`, splits
+in-process :class:`~repro.serve.cache.PatternCache` (keyed by the job's
+program spec), splits
 sampling jobs into seeded shot blocks with the checkpoint machinery
 (:func:`~repro.exec.checkpoint.plan_blocks` +
 ``SeedSequence(seed).spawn``), and dispatches blocks to a worker pool.
@@ -56,7 +57,7 @@ from repro.utils.rng import spawn_seeds
 DEFAULT_MAX_BATCH_SHOTS = 4096
 
 
-# -- worker-side entry points (top-level: the process pool pickles them) -----
+# -- worker-side entry points (top-level, so a process pool can ship them) --
 
 
 def _execute_batch(
@@ -108,18 +109,21 @@ def _execute_verify(
 
 @dataclass(frozen=True)
 class _PendingBlock:
-    """One queued block plus its fusion key (digest, engine)."""
+    """One queued block, its fusion key (digest, engine) and the compiled
+    program it runs — held here, so a cache eviction before dispatch
+    cannot strand it."""
 
     task: BlockTask
     digest: str
     backend: str
+    compiled: CompiledPattern
 
 
 class JobServer:
     """Queue, cache, coalesce, execute, stream.
 
     ``executor`` selects the worker pool: ``"process"`` (the default —
-    real parallelism, compiled patterns are pickled per dispatch),
+    real parallelism, compiled patterns are serialised per dispatch),
     ``"thread"`` (cheaper dispatch, numpy releases the GIL for the heavy
     kernels), or ``"inline"`` (run batches on the scheduler thread —
     deterministic scheduling for tests).  ``coalesce=False`` disables
@@ -131,7 +135,6 @@ class JobServer:
     def __init__(
         self,
         *,
-        cache_dir: Optional[str] = None,
         workers: int = 2,
         max_batch_shots: int = DEFAULT_MAX_BATCH_SHOTS,
         coalesce: bool = True,
@@ -143,7 +146,7 @@ class JobServer:
             raise ValueError(
                 f"max_batch_shots must be positive, got {max_batch_shots}"
             )
-        self.cache = PatternCache(cache_dir)
+        self.cache = PatternCache()
         self.coalesce = coalesce
         self.max_batch_shots = int(max_batch_shots)
         self._workers = int(workers)
@@ -154,7 +157,8 @@ class JobServer:
         self._queue: deque = deque()
         self._jobs: Dict[str, JobState] = {}
         self._results: Dict[str, JobResult] = {}
-        self._compiled: Dict[str, CompiledPattern] = {}
+        # Ids between the duplicate check and their JobState insert.
+        self._submitting: set = set()
         self._subscribers: List[Queue] = []
         # Reentrant: _finish_batch holds the lock while emitting events.
         self._cond = threading.Condition(threading.RLock())
@@ -212,19 +216,20 @@ class JobServer:
         return self.submit_spec(JobSpec.from_dict(data, default_id=default_id))
 
     def submit_spec(self, spec: JobSpec) -> str:
-        if self._closed:
-            raise PatternError("the job server is closed")
         with self._cond:
-            if spec.job_id in self._jobs:
+            if self._closed:
+                raise PatternError("the job server is closed")
+            if spec.job_id in self._jobs or spec.job_id in self._submitting:
                 raise PatternError(f"duplicate job id {spec.job_id!r}")
+            self._submitting.add(spec.job_id)
+        try:
+            return self._accept(spec)
+        finally:
+            with self._cond:
+                self._submitting.discard(spec.job_id)
 
-        pattern = spec.build_pattern()
-        # Verify inspects the noiseless program; sampling jobs bake the
-        # lowered noise IR into the cached artifact (and its digest).
-        noise = None if spec.kind == "verify" else spec.noise
-        compiled, digest, cache_status = self.cache.get_or_compile_status(
-            pattern, noise=noise
-        )
+    def _accept(self, spec: JobSpec) -> str:
+        compiled, digest, cache_status = self.cache.get_or_compile_status(spec)
 
         backend_name = (
             select_backend(compiled).name
@@ -242,7 +247,6 @@ class JobServer:
             )
             with self._cond:
                 self._jobs[spec.job_id] = state
-                self._compiled[digest] = compiled
             self._emit(
                 {
                     "event": "accepted",
@@ -267,7 +271,6 @@ class JobServer:
         )
         with self._cond:
             self._jobs[spec.job_id] = state
-            self._compiled[digest] = compiled
             for plan in plans:
                 self._queue.append(
                     _PendingBlock(
@@ -280,6 +283,7 @@ class JobServer:
                         ),
                         digest=digest,
                         backend=backend_name,
+                        compiled=compiled,
                     )
                 )
             self._cond.notify_all()
@@ -318,29 +322,29 @@ class JobServer:
                 pending = list(self._queue)
                 self._queue.clear()
 
-            groups: "Dict[Tuple[str, str], List[BlockTask]]" = {}
-            order: List[Tuple[str, str]] = []
+            # Equal digests mean equal programs, so each group runs the
+            # compiled program of its first block.
+            groups: "Dict[Tuple[str, str], List[_PendingBlock]]" = {}
             for item in pending:
-                key = (item.digest, item.backend)
-                if key not in groups:
-                    groups[key] = []
-                    order.append(key)
-                groups[key].append(item.task)
+                groups.setdefault((item.digest, item.backend), []).append(item)
 
-            for key in order:
-                digest, backend_name = key
-                tasks = groups[key]
+            for items in groups.values():
+                tasks = [item.task for item in items]
                 if self.coalesce:
                     batches = pack_tasks(tasks, self.max_batch_shots)
                 else:
                     batches = [(t,) for t in tasks]
                 for batch in batches:
-                    self._dispatch_batch(digest, backend_name, batch)
+                    self._dispatch_batch(
+                        items[0].compiled, items[0].backend, batch
+                    )
 
     def _dispatch_batch(
-        self, digest: str, backend_name: str, batch: Tuple[BlockTask, ...]
+        self,
+        compiled: CompiledPattern,
+        backend_name: str,
+        batch: Tuple[BlockTask, ...],
     ) -> None:
-        compiled = self._compiled[digest]
         sizes = [t.shots for t in batch]
         seeds = [t.seed for t in batch]
         pool = self._ensure_pool()

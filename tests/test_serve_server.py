@@ -12,6 +12,7 @@ socket) reports the same receipts.
 
 import io
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -207,7 +208,7 @@ class TestJobSpec:
 
 class TestServerReceipts:
     def test_served_equals_standalone_checkpoint(self, tmp_path):
-        with JobServer(cache_dir=str(tmp_path / "cache"), executor="inline") as srv:
+        with JobServer(executor="inline") as srv:
             spec = job(id="a", seed=7)
             srv.submit(spec)
             result = srv.result("a", timeout=60)
@@ -240,7 +241,7 @@ class TestServerReceipts:
         """Same-digest jobs submitted while paused fuse into shared
         batches — and still produce their standalone receipts."""
         events = []
-        with JobServer(cache_dir=str(tmp_path / "cache"), executor="inline") as srv:
+        with JobServer(executor="inline") as srv:
             sub = srv.subscribe()
             srv.pause()
             specs = [job(id="a", seed=7), job(id="b", seed=11)]
@@ -283,14 +284,76 @@ class TestServerReceipts:
         assert len(plan_blocks(130, 60)) == 3
 
     def test_cache_status_reported(self, tmp_path):
-        with JobServer(cache_dir=str(tmp_path / "cache"), executor="inline") as srv:
+        with JobServer(executor="inline") as srv:
             srv.submit(job(id="a", seed=7))
             srv.submit(job(id="b", seed=11))
             ra = srv.result("a", timeout=60)
             rb = srv.result("b", timeout=60)
         assert ra.cache_status == "miss"
-        assert rb.cache_status == "memory-hit"
+        assert rb.cache_status == "hit"
         assert ra.digest == rb.digest
+
+    def test_evicted_entry_still_runs_queued_job(self, tmp_path, monkeypatch):
+        """A queued block carries its own compiled program: evicting the
+        cache entry before the scheduler drains cannot strand the job."""
+        monkeypatch.setattr("repro.serve.cache.MAX_ENTRIES", 1)
+        with JobServer(executor="inline") as srv:
+            srv.pause()
+            srv.submit(job(id="a", seed=7))
+            srv.submit(job(id="c", seed=3, problem="ring:5"))  # evicts a's entry
+            assert len(srv.cache._entries) == 1
+            srv.resume()
+            ra = srv.result("a", timeout=60)
+            rc = srv.result("c", timeout=60)
+        assert ra.records_sha256 == standalone_digest(
+            job(id="a", seed=7), tmp_path, "a"
+        )
+        assert rc.records_sha256 == standalone_digest(
+            job(id="c", seed=3, problem="ring:5"), tmp_path, "c"
+        )
+
+    def test_duplicate_id_race_accepts_exactly_one(self, tmp_path):
+        """Two submits of one id: the second arrives while the first is
+        inside its cache call, and must be refused — not overwrite the
+        first job's state."""
+        entered, release = threading.Event(), threading.Event()
+        with JobServer(executor="inline") as srv:
+            lookup = srv.cache.get_or_compile_status
+
+            def held_lookup(spec):
+                if not entered.is_set():
+                    entered.set()
+                    assert release.wait(timeout=60)
+                return lookup(spec)
+
+            srv.cache.get_or_compile_status = held_lookup
+            outcomes = []
+
+            def first():
+                try:
+                    outcomes.append(srv.submit(job(id="dup", seed=7)))
+                except PatternError as exc:
+                    outcomes.append(exc)
+
+            thread = threading.Thread(target=first)
+            thread.start()
+            assert entered.wait(timeout=60)
+            try:
+                srv.submit(job(id="dup", seed=11))
+            except PatternError as exc:
+                outcomes.append(exc)
+            else:
+                outcomes.append("dup")
+            release.set()
+            thread.join(timeout=60)
+            result = srv.result("dup", timeout=60)
+        accepted = [o for o in outcomes if o == "dup"]
+        refused = [o for o in outcomes if isinstance(o, PatternError)]
+        assert len(accepted) == 1 and len(refused) == 1
+        assert "duplicate job id" in str(refused[0])
+        assert result.records_sha256 == standalone_digest(
+            job(id="dup", seed=7), tmp_path, "dup"
+        )
 
     def test_thread_pool_executor(self, tmp_path):
         with JobServer(executor="thread", workers=2) as srv:
