@@ -108,7 +108,7 @@ def _parity_stratified_branches(
 
 
 def branch_unitaries(
-    pattern: Pattern,
+    pattern: Optional[Pattern],
     max_branches: Optional[int] = None,
     seed: SeedLike = None,
     backend: Union[str, PatternBackend, None] = None,
@@ -117,7 +117,8 @@ def branch_unitaries(
     """Branch maps for all (or a random subset of) outcome branches.
 
     Pass ``compiled`` (from :func:`~repro.mbqc.compile.compile_pattern`) to
-    skip recompilation when the caller already holds the program.
+    skip recompilation when the caller already holds the program; the
+    pattern itself is then not read and may be ``None``.
     """
     if compiled is None:
         compiled = compile_pattern(pattern)
@@ -225,7 +226,7 @@ def _check_determinism_stabilizer(
 
 
 def check_pattern_determinism(
-    pattern: Pattern,
+    pattern: Optional[Pattern],
     max_branches: Optional[int] = None,
     seed: SeedLike = None,
     atol: float = 1e-8,
@@ -247,8 +248,13 @@ def check_pattern_determinism(
     *Choi states* (inputs maximally entangled with spectator ancillas):
     exact map equality with no global-phase bookkeeping at all — the
     strictest of the three checks, for patterns within 4^n density reach.
+
+    Pass ``compiled`` to check an already compiled program; ``pattern`` is
+    then not read and may be ``None``.
     """
     if compiled is None:
+        if pattern is None:
+            raise ValueError("check_pattern_determinism needs a pattern or compiled=")
         compiled = compile_pattern(pattern)
     engine = resolve_backend(backend, compiled)
     if engine.name == "density":
@@ -257,7 +263,7 @@ def check_pattern_determinism(
         )
         return _check_determinism_density(compiled, engine, branches, atol)
     if engine.name == "stabilizer":
-        if pattern.input_nodes:
+        if compiled.num_inputs:
             raise PatternError(
                 "the stabilizer determinism check needs a state-preparation "
                 "pattern (no inputs): tableau columns carry no global phase, "

@@ -53,7 +53,6 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.linalg.gates import PAULI_X, PAULI_Y, PAULI_Z
 from repro.mbqc.compile import (
     ChannelOp,
     CompiledPattern,
@@ -611,9 +610,6 @@ def _parity_vec(rec: Dict[int, np.ndarray], domain, n_shots: int) -> np.ndarray:
     return parity
 
 
-_DENSE_PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
-
-
 def _check_branch_noiseless(compiled: CompiledPattern, name: str) -> None:
     """Forced-branch extraction on a trajectory engine is only defined for
     noiseless programs — a sampled channel would make the branch map a
@@ -638,10 +634,8 @@ def _require_pauli_channel(op: ChannelOp) -> Tuple[float, float, float, float]:
 def _sample_pauli_channel_batch(sv: BatchedStateVector, op: ChannelOp, rng) -> None:
     """Sample ``op``'s Pauli mixture independently per batch element."""
     faults = draw_pauli_fault_batch(op, rng, sv.batch_size)
-    if faults is None or not (faults >= 0).any():
-        return
-    for i, mat in enumerate(_DENSE_PAULIS):
-        sv.apply_1q_masked(mat, op.slot, faults == i)
+    if faults is not None:
+        sv.apply_paulis(op.slot, faults)
 
 
 class StabilizerBackend:

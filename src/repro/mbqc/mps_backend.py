@@ -1,24 +1,26 @@
 """Matrix-product-state pattern engine (``"mps"``).
 
 The fourth registered backend: executes compiled patterns on
-:class:`repro.sim.mps.MPSState` chains, whose cost scales with the bond
-dimension instead of ``2^max_live`` — bounded-entanglement patterns
-(line/ring cluster states, ``interaction_width ≤ 1``) run at hundreds of
-measured non-Clifford nodes, a workload none of the dense engines can
-touch.
+matrix-product-state chains, whose cost scales with the bond dimension
+instead of ``2^max_live`` — bounded-entanglement patterns (line/ring
+cluster states, ``interaction_width ≤ 1``) run at hundreds of measured
+non-Clifford nodes, a workload none of the dense engines can touch.
 
-Sampling follows the shot-chunking byte-budget discipline: per-shot MPS
-chains are too large to keep thousands resident, so ``sample_batch``
-sweeps the op stream over *chunks* of resident shots under
-``MPS_BATCH_MAX_BYTES`` (``chunk = budget // bytes_per_shot``, clamped to
-1).  Every chunk reads one shared
+One execution path (:meth:`MPSBackend._sweep`) serves both
+``sample_batch`` and ``run_branch_batch``: the op stream runs on a
+:class:`~repro.sim.mps.BatchedMPSState`, the shot-stacked chains of a
+whole chunk, with one stacked kernel call per op.  Sampling follows the
+shot-chunking byte-budget discipline: chunks of resident shots are
+sized by ``MPS_BATCH_MAX_BYTES`` (``chunk = budget // bytes_per_shot``,
+clamped to 1), and every chunk reads one shared
 :class:`~repro.mbqc.backend._ShotDrawTable` of whole-block draws (uniform
 per unpinned measurement, flip block per readout, fault block per Pauli
 channel), so seeded records are bit-identical across chunk sizes and to
 the statevector engine's seeded records on every program both can run,
-Pauli-channel noise included.
+Pauli-channel noise included.  A branch run stacks one chain per input
+row and pins every outcome.
 
-Truncation is never silent: every output carries the accumulated
+Truncation is never silent: every output carries its shot's accumulated
 relative discarded weight (:attr:`MPSOutput.truncation_error`,
 ``DensityRun.dropped_weight``-style), 0.0 meaning the run was exact up
 to floating point.
@@ -27,11 +29,10 @@ to floating point.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.linalg.gates import PAULI_X, PAULI_Y, PAULI_Z
 from repro.mbqc.backend import (
     BranchRun,
     SampleRun,
@@ -54,10 +55,9 @@ from repro.mbqc.compile import (
     MeasureOp,
     PrepOp,
     lower_noise,
-    signal_parity,
 )
 from repro.mbqc.pattern import PatternError
-from repro.sim.mps import MPSState
+from repro.sim.mps import BatchedMPSState, MPSState
 from repro.sim.statevector import ZeroProbabilityBranch
 from repro.utils.rng import SeedLike, ensure_rng
 
@@ -75,13 +75,13 @@ MPS_DEFAULT_CUTOFF = 1e-12
 #: ``DENSITY_BATCH_MAX_BYTES``).
 MPS_BATCH_MAX_BYTES = 1 << 26
 
-_MPS_PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
-
 
 class MPSOutput:
     """One element's output on the MPS engine.
 
-    ``mps`` is the normalized output chain (output nodes in output order);
+    ``mps`` is the normalized output chain (output nodes in output order,
+    one scalar :class:`MPSState` unstacked from its chunk, bonds padded to
+    the chunk maximum);
     ``log2_weight`` the branch log-probability (0.0 for sampled
     trajectories, log-domain so hundred-measurement branch weights do not
     underflow).  ``truncation_error`` surfaces the chain's accumulated
@@ -125,8 +125,8 @@ class MPSBackend:
     """Pattern execution on truncated matrix-product states.
 
     ``chi_max``/``cutoff`` bound every SVD refactorization (see
-    :class:`repro.sim.mps.MPSState`); with the defaults, executions of
-    bounded-entanglement patterns are exact and report
+    :class:`repro.sim.mps.BatchedMPSState`); with the defaults, executions
+    of bounded-entanglement patterns are exact and report
     ``truncation_error == 0.0``."""
 
     name = "mps"
@@ -195,41 +195,16 @@ class MPSBackend:
                 f"(B, {1 << compiled.num_inputs}) for this pattern's "
                 f"{compiled.num_inputs} inputs, got {inputs.shape}"
             )
-        raws: List[MPSOutput] = []
-        for row in inputs:
-            st = self._fresh_state(row)
-            outcomes: Dict[int, int] = {}
-            log2w = 0.0
-            for op in compiled.ops:
-                tp = type(op)
-                if tp is PrepOp:
-                    st.add_qubit(op.state)
-                elif tp is EntangleOp:
-                    st.apply_cz(*op.slots)
-                elif tp is MeasureOp:
-                    s = signal_parity(outcomes, op.s_domain)
-                    t = signal_parity(outcomes, op.t_domain)
-                    out = forced[op.node]
-                    try:
-                        _, prob = st.measure(
-                            op.slot, _measure_vecs(op, s, t), force=out
-                        )
-                    except ZeroProbabilityBranch:
-                        raise ZeroProbabilityBranch(
-                            f"forced outcome {out} on node {op.node} has "
-                            f"probability ~0"
-                        ) from None
-                    log2w += math.log2(prob)
-                    outcomes[op.node] = out
-                elif tp is ConditionalOp:
-                    if signal_parity(outcomes, op.domain):
-                        st.apply_1q(op.matrix, op.slot)
-                else:  # UnitaryOp (channels are excluded as noise above)
-                    st.apply_1q(op.matrix, op.slot)
-            st.permute(compiled.out_perm)
-            raws.append(MPSOutput(st, log2w))
+        if inputs.shape[0] == 0:
+            return BranchRun(outcomes=forced, weights=np.zeros(0), raw=())
+        st = BatchedMPSState.stack([self._fresh_state(row) for row in inputs])
+        _, log2w = self._sweep(compiled, st, forced, None, 0, st.batch_size)
+        st.permute(compiled.out_perm)
+        raws = tuple(
+            MPSOutput(one, float(w)) for one, w in zip(st.unstack(), log2w)
+        )
         weights = np.array([out.weight for out in raws], dtype=float)
-        return BranchRun(outcomes=forced, weights=weights, raw=tuple(raws))
+        return BranchRun(outcomes=forced, weights=weights, raw=raws)
 
     # -- trajectory sampling ------------------------------------------------
 
@@ -265,11 +240,19 @@ class MPSBackend:
             node: np.empty(n_shots, dtype=np.int8)
             for node in compiled.measured_nodes
         }
-        raws: Optional[List[MPSOutput]] = [None] * n_shots if keep_raw else None  # type: ignore[list-item]
+        raws: List[MPSOutput] = []
+        fresh = self._fresh_state(row)
         chunk = self._chunk_shots(compiled, max_block_bytes)
         for lo in range(0, n_shots, chunk):
             hi = min(lo + chunk, n_shots)
-            self._run_chunk(compiled, row, forced, draws, rec, raws, lo, hi)
+            st = BatchedMPSState.stack([fresh] * (hi - lo))
+            draws.start_pass()
+            local, _ = self._sweep(compiled, st, forced, draws, lo, hi)
+            for node, outs in local.items():
+                rec[node][lo:hi] = outs
+            if keep_raw:
+                st.permute(compiled.out_perm)
+                raws.extend(MPSOutput(one) for one in st.unstack())
         outcomes = (
             np.stack([rec[n] for n in compiled.measured_nodes], axis=1)
             if compiled.measured_nodes
@@ -278,81 +261,64 @@ class MPSBackend:
         return SampleRun(
             nodes=compiled.measured_nodes,
             outcomes=outcomes,
-            raw=tuple(raws) if raws is not None else None,
+            raw=tuple(raws) if keep_raw else None,
         )
 
-    def _run_chunk(
+    def _sweep(
         self,
         compiled: CompiledPattern,
-        row: np.ndarray,
-        forced: Dict[int, int],
-        draws: _ShotDrawTable,
-        rec: Dict[int, np.ndarray],
-        raws: Optional[List[MPSOutput]],
+        st: BatchedMPSState,
+        forced: Mapping[int, int],
+        draws: Optional[_ShotDrawTable],
         lo: int,
         hi: int,
-    ) -> None:
-        """One resident chunk, op-major: whole-block draw slices, shared
-        per-element parity/basis gathers, the same scalar state kernels."""
+    ) -> Tuple[Dict[int, np.ndarray], np.ndarray]:
+        """The engine's one execution path: run the op stream on the
+        stacked chains of shots ``lo:hi``, one stacked kernel call per op.
+
+        Unpinned measurements, readout flips and Pauli faults read their
+        ``lo:hi`` slice of the whole-block ``draws``; a branch run (every
+        outcome pinned, noiseless program) passes ``draws=None``.  Returns
+        the chunk's records (node -> ``(hi - lo,)`` bits) and per-element
+        log-2 weights of the pinned outcomes."""
         b = hi - lo
-        draws.start_pass()
-        states = [self._fresh_state(row) for _ in range(b)]
-        local: Dict[int, np.ndarray] = {}  # node -> (b,) chunk records
+        local: Dict[int, np.ndarray] = {}
+        log2w = np.zeros(b)
         for op in compiled.ops:
             tp = type(op)
             if tp is PrepOp:
-                for st in states:
-                    st.add_qubit(op.state)
+                st.add_qubit(op.state)
             elif tp is EntangleOp:
-                s0, s1 = op.slots
-                for st in states:
-                    st.apply_cz(s0, s1)
+                st.apply_cz(*op.slots)
             elif tp is MeasureOp:
                 s = _parity_vec(local, op.s_domain, b)
                 t = _parity_vec(local, op.t_domain, b)
                 vecs = _measure_vecs(op, s, t)  # (b, 2, 2)
                 pinned = forced.get(op.node)
-                outs = np.empty(b, dtype=np.int8)
                 if pinned is None:
-                    u = draws.uniform_vec()[lo:hi]
-                    for j, st in enumerate(states):
-                        outs[j], _ = st.measure(
-                            op.slot, vecs[j], u=float(u[j])
-                        )
+                    outs, _ = st.measure(op.slot, vecs, u=draws.uniform_vec()[lo:hi])
                 else:
-                    for j, st in enumerate(states):
-                        try:
-                            outs[j], _ = st.measure(
-                                op.slot, vecs[j], force=pinned
-                            )
-                        except ZeroProbabilityBranch:
-                            raise ZeroProbabilityBranch(
-                                f"forced outcome {pinned} on node {op.node} "
-                                f"has probability ~0"
-                            ) from None
+                    try:
+                        outs, probs = st.measure(op.slot, vecs, force=pinned)
+                    except ZeroProbabilityBranch:
+                        raise ZeroProbabilityBranch(
+                            f"forced outcome {pinned} on node {op.node} "
+                            f"has probability ~0"
+                        ) from None
+                    log2w += np.log2(probs)
                 if op.flip_p > 0.0:
                     outs ^= draws.flip_vec(op.flip_p)[lo:hi].astype(np.int8)
                 local[op.node] = outs
-                rec[op.node][lo:hi] = outs
             elif tp is ConditionalOp:
-                fire = _parity_vec(local, op.domain, b)
-                for j, st in enumerate(states):
-                    if fire[j]:
-                        st.apply_1q(op.matrix, op.slot)
+                fire = _parity_vec(local, op.domain, b).astype(bool)
+                st.apply_1q_masked(op.matrix, op.slot, fire)
             elif tp is ChannelOp:
                 faults = draws.fault_vec(op)
                 if faults is not None:
-                    f = faults[lo:hi]
-                    for j, st in enumerate(states):
-                        if f[j] >= 0:
-                            st.apply_1q(_MPS_PAULIS[f[j]], op.slot)
+                    st.apply_paulis(op.slot, faults[lo:hi])
             else:  # UnitaryOp
-                for st in states:
-                    st.apply_1q(op.matrix, op.slot)
-        if raws is not None:
-            for j, st in enumerate(states):
-                st.permute(compiled.out_perm)
-                raws[lo + j] = MPSOutput(st)
+                st.apply_1q(op.matrix, op.slot)
+        return local, log2w
 
 
 register_backend(MPSBackend())

@@ -129,7 +129,7 @@ def _full_branch(
 
 
 def pattern_to_matrix(
-    pattern: Pattern,
+    pattern: Optional[Pattern],
     forced_outcomes: Optional[Dict[int, int]] = None,
     backend: Union[str, PatternBackend, None] = None,
     compiled: Optional[CompiledPattern] = None,
@@ -143,7 +143,8 @@ def pattern_to_matrix(
     All ``2^k`` input basis columns run in one batched sweep on ``backend``
     (an engine instance, registry name, or ``None`` for automatic dispatch
     via :func:`~repro.mbqc.backend.select_backend`); pass ``compiled`` to
-    amortize compilation across many branches.  Columns extracted on the
+    amortize compilation across many branches (``pattern`` is then not
+    read and may be ``None``).  Columns extracted on the
     stabilizer engine are exact up to a per-column phase (a tableau carries
     no global phase).
     """

@@ -76,30 +76,14 @@ def _execute_batch(
 
 def _execute_verify(
     compiled: CompiledPattern,
-    pattern_data: Optional[dict],
-    problem: Optional[str],
-    gammas: Sequence[float],
-    betas: Sequence[float],
     backend_name: str,
     max_branches: Optional[int],
     seed: int,
 ) -> bool:
     from repro.core.verify import check_pattern_determinism
 
-    spec = JobSpec(
-        job_id="verify",
-        kind="verify",
-        shots=0,
-        seed=seed,
-        block_shots=1,
-        problem=problem,
-        gammas=tuple(gammas),
-        betas=tuple(betas),
-        pattern_data=pattern_data,
-    )
-    pattern = spec.build_pattern()
     return check_pattern_determinism(
-        pattern,
+        None,
         max_branches=max_branches,
         seed=seed,
         backend=get_backend(backend_name),
@@ -379,16 +363,7 @@ class JobServer:
 
     def _dispatch_verify(self, state: JobState, compiled: CompiledPattern) -> None:
         spec = state.spec
-        args = (
-            compiled,
-            spec.pattern_data,
-            spec.problem,
-            spec.gammas,
-            spec.betas,
-            state.backend,
-            None,
-            spec.seed,
-        )
+        args = (compiled, state.backend, None, spec.seed)
         pool = self._ensure_pool()
 
         def _complete(ok: Optional[bool], error: Optional[str]) -> None:

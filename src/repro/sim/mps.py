@@ -28,15 +28,30 @@ All randomness enters through pre-drawn uniform deviates (the ``u``
 argument of :meth:`MPSState.measure`, same ``outcome = 0 iff u < p0``
 convention as :meth:`repro.sim.density.DensityMatrix.measure`) so callers
 own the draw schedule.
+
+:class:`BatchedMPSState` is the shot-stacked sibling the MPS engine runs
+on: ``B`` chains with one shared slot map and center, site tensors stored
+as ``(B, Dl, 2, Dr)`` with each bond zero-padded to the largest
+dimension any chain needs, so every op is one stacked ``matmul``/``qr``/
+``svd`` call instead of ``B`` small ones (the canonical-form sweep of
+Vidal, PRL 91, 147902 (2003), batched).  Each chain still truncates
+against its own spectrum and keeps its own ``truncation_error``.  The
+scalar :class:`MPSState` carries single outputs and is the reference the
+stacked kernels are tested against.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.sim.statevector import MeasurementBasis, ZeroProbabilityBranch
+from repro.sim.statevector import (
+    IPAULIS,
+    MeasurementBasis,
+    ZeroProbabilityBranch,
+    _row_sq_norms,
+)
 
 #: Densification guard: ``to_array`` on more qubits than this raises
 #: instead of materializing an out-of-budget ``2^n`` block.
@@ -486,3 +501,386 @@ class MPSState:
         mps._slot_at = list(range(k))
         mps._site_of = list(range(k))
         return mps
+
+
+class BatchedMPSState:
+    """``B`` MPS chains evolved in lockstep: the shot-stacked sibling of
+    :class:`MPSState` (as :class:`~repro.sim.statevector.BatchedStateVector`
+    is of ``StateVector``).
+
+    Site tensors are stored as ``(B, Dl, 2, Dr)``, each bond padded with
+    zeros to the largest dimension any element needs, so every op is one
+    stacked numpy call (``matmul``, ``qr``, ``svd``) for the whole batch.
+    The slot/site map and the orthogonality center are shared: routing and
+    relocation decide from the padded shapes, so all elements stay in
+    lockstep.  Truncation is still per element: each element keeps the
+    singular values above its *own* cutoff (capped at ``chi_max``), the
+    rest are masked to zero, and its discarded relative weight accumulates
+    in its own entry of :attr:`truncation_error` (shape ``(B,)``).
+    """
+
+    def __init__(
+        self, batch_size: int, chi_max: Optional[int] = None, cutoff: float = 1e-12
+    ):
+        if batch_size < 1:
+            raise ValueError("batch_size must be positive")
+        if chi_max is not None and chi_max < 1:
+            raise ValueError("chi_max must be at least 1")
+        self.chi_max = chi_max
+        self.cutoff = float(cutoff)
+        self._b = batch_size
+        self._tensors: List[np.ndarray] = []  # site -> (B, Dl, 2, Dr)
+        self._slot_at: List[int] = []  # site -> slot
+        self._site_of: List[int] = []  # slot -> site
+        self._center = -1
+        self._amp = np.ones(batch_size, dtype=complex)
+        self.truncation_error = np.zeros(batch_size)
+
+    @classmethod
+    def stack(cls, states: Sequence[MPSState]) -> "BatchedMPSState":
+        """Stack scalar chains that share a slot map and center (e.g. copies
+        of one input chain, or per-row :meth:`MPSState.from_dense_row`
+        inputs), zero-padding each bond to its largest dimension."""
+        first = states[0]
+        for st in states:
+            if st._slot_at != first._slot_at or st._center != first._center:
+                raise ValueError("stacked chains must share slot map and center")
+        out = cls(len(states), chi_max=first.chi_max, cutoff=first.cutoff)
+        for site in range(first.num_qubits):
+            blocks = [st._tensors[site] for st in states]
+            dl = max(a.shape[0] for a in blocks)
+            dr = max(a.shape[2] for a in blocks)
+            t = np.zeros((len(states), dl, 2, dr), dtype=complex)
+            for j, a in enumerate(blocks):
+                t[j, : a.shape[0], :, : a.shape[2]] = a
+            out._tensors.append(t)
+        out._slot_at = list(first._slot_at)
+        out._site_of = list(first._site_of)
+        out._center = first._center
+        out._amp = np.array([st._amp for st in states], dtype=complex)
+        out.truncation_error = np.array([st.truncation_error for st in states])
+        return out
+
+    def unstack(self) -> List[MPSState]:
+        """One scalar chain per element (bonds keep the batch padding)."""
+        res = []
+        for j in range(self._b):
+            st = MPSState(chi_max=self.chi_max, cutoff=self.cutoff)
+            st._tensors = [t[j].copy() for t in self._tensors]
+            st._slot_at = list(self._slot_at)
+            st._site_of = list(self._site_of)
+            st._center = self._center
+            st._amp = complex(self._amp[j])
+            st.truncation_error = float(self.truncation_error[j])
+            res.append(st)
+        return res
+
+    # -- bookkeeping --------------------------------------------------------
+
+    @property
+    def batch_size(self) -> int:
+        return self._b
+
+    @property
+    def num_qubits(self) -> int:
+        return len(self._tensors)
+
+    def bond_dims(self) -> Tuple[int, ...]:
+        """The padded inner bond dimensions, left to right."""
+        return tuple(t.shape[3] for t in self._tensors[:-1])
+
+    def _site(self, slot: int, what: str) -> int:
+        if not 0 <= slot < len(self._site_of):
+            raise ValueError(
+                f"{what} targets slot {slot} of a {self.num_qubits}-qubit state"
+            )
+        return self._site_of[slot]
+
+    def _rebuild_site_of(self) -> None:
+        self._site_of = [0] * len(self._slot_at)
+        for site, slot in enumerate(self._slot_at):
+            self._site_of[slot] = site
+
+    # -- canonical-form plumbing --------------------------------------------
+
+    def _shift_center_right(self) -> None:
+        c = self._center
+        a = self._tensors[c]
+        b, dl, _, dr = a.shape
+        q, r = np.linalg.qr(a.reshape(b, dl * 2, dr))
+        self._tensors[c] = q.reshape(b, dl, 2, -1)
+        nxt = self._tensors[c + 1]
+        self._tensors[c + 1] = np.matmul(r, nxt.reshape(b, dr, -1)).reshape(
+            b, -1, 2, nxt.shape[3]
+        )
+        self._center = c + 1
+
+    def _shift_center_left(self) -> None:
+        c = self._center
+        a = self._tensors[c]
+        b, dl, _, dr = a.shape
+        q, r = np.linalg.qr(a.reshape(b, dl, 2 * dr).conj().transpose(0, 2, 1))
+        self._tensors[c] = q.conj().transpose(0, 2, 1).reshape(b, -1, 2, dr)
+        prv = self._tensors[c - 1]
+        self._tensors[c - 1] = np.matmul(
+            prv.reshape(b, -1, dl), r.conj().transpose(0, 2, 1)
+        ).reshape(b, prv.shape[1], 2, -1)
+        self._center = c - 1
+
+    def _move_center(self, site: int) -> None:
+        while self._center < site:
+            self._shift_center_right()
+        while self._center > site:
+            self._shift_center_left()
+
+    def _center_on_pair(self, k: int) -> None:
+        if self._center < k:
+            self._move_center(k)
+        elif self._center > k + 1:
+            self._move_center(k + 1)
+
+    def _theta(self, k: int) -> np.ndarray:
+        """The two-site block of sites ``k``/``k+1``, ``(B, Dl, 2, 2, Dr)``."""
+        a, c = self._tensors[k], self._tensors[k + 1]
+        b, dl, _, d = a.shape
+        return np.matmul(a.reshape(b, dl * 2, d), c.reshape(b, d, -1)).reshape(
+            b, dl, 2, 2, c.shape[3]
+        )
+
+    def _split_pair(self, theta: np.ndarray, k: int) -> None:
+        """Refactor ``(B, Dl, 2, 2, Dr)`` blocks back into sites ``k``/``k+1``
+        by one stacked SVD; center lands on ``k+1``.  Each element keeps
+        the singular values its own cutoff and ``chi_max`` admit; the
+        kept count is padded to the batch maximum with zeros."""
+        b, dl, _, _, dr = theta.shape
+        u, s, vh = np.linalg.svd(theta.reshape(b, dl * 2, 2 * dr), full_matrices=False)
+        full = s.shape[1]
+        s0 = s[:, :1]
+        keep = np.count_nonzero(s > self.cutoff * s0, axis=1)
+        keep[s0[:, 0] <= 0.0] = full
+        if self.chi_max is not None:
+            np.minimum(keep, self.chi_max, out=keep)
+        np.maximum(keep, 1, out=keep)
+        top = int(keep.max())
+        if int(keep.min()) < full:
+            kept = np.arange(full) < keep[:, None]
+            weights = s * s
+            total = weights.sum(axis=1)
+            dropped = np.where(kept, 0.0, weights).sum(axis=1)
+            cut = (keep < full) & (total > 0.0)
+            self.truncation_error[cut] += dropped[cut] / total[cut]
+            s = np.where(kept, s, 0.0)
+        self._tensors[k] = u[:, :, :top].reshape(b, dl, 2, top)
+        self._tensors[k + 1] = (s[:, :top, None] * vh[:, :top]).reshape(
+            b, top, 2, dr
+        )
+        self._center = k + 1
+
+    def _is_product_site(self, site: int) -> bool:
+        _, dl, _, dr = self._tensors[site].shape
+        return dl == 1 and dr == 1
+
+    def _relocate(self, src: int, dst: int) -> None:
+        """Move the product site ``src`` (both padded bonds 1, so every
+        element is unentangled there) to index ``dst``, as
+        :meth:`MPSState._relocate` does per chain."""
+        if self._center == src and len(self._tensors) > 1:
+            if src + 1 < len(self._tensors):
+                self._shift_center_right()
+            else:
+                self._shift_center_left()
+        vec = self._tensors.pop(src).reshape(self._b, 2)
+        slot = self._slot_at.pop(src)
+        cut = 1 if dst == 0 else self._tensors[dst - 1].shape[3]
+        eye = np.eye(cut, dtype=complex)
+        self._tensors.insert(dst, eye[None, :, None, :] * vec[:, None, :, None])
+        self._slot_at.insert(dst, slot)
+        c = self._center
+        if c != src:
+            if src < c:
+                c -= 1
+            if dst <= c:
+                c += 1
+        else:
+            c = dst
+        self._center = c
+        self._rebuild_site_of()
+
+    def _swap_sites(self, k: int) -> None:
+        self._center_on_pair(k)
+        self._split_pair(self._theta(k).transpose(0, 1, 3, 2, 4), k)
+        self._slot_at[k], self._slot_at[k + 1] = (
+            self._slot_at[k + 1],
+            self._slot_at[k],
+        )
+        self._rebuild_site_of()
+
+    def _route_adjacent(self, s0: int, s1: int) -> Tuple[int, int]:
+        """:meth:`MPSState._route_adjacent` on the padded shapes."""
+        i, j = self._site_of[s0], self._site_of[s1]
+        if abs(i - j) == 1:
+            return i, j
+        if self._is_product_site(j):
+            self._relocate(j, (i if j < i else i + 1) - (1 if j < i else 0))
+            return self._site_of[s0], self._site_of[s1]
+        if self._is_product_site(i):
+            self._relocate(i, (j if i < j else j + 1) - (1 if i < j else 0))
+            return self._site_of[s0], self._site_of[s1]
+        size_i = self._tensors[i].shape[1] * self._tensors[i].shape[3]
+        size_j = self._tensors[j].shape[1] * self._tensors[j].shape[3]
+        lo, hi = min(i, j), max(i, j)
+        if (size_i < size_j) == (i == lo):
+            for k in range(lo, hi - 1):
+                self._swap_sites(k)
+        else:
+            for k in range(hi - 1, lo, -1):
+                self._swap_sites(k)
+        return self._site_of[s0], self._site_of[s1]
+
+    # -- register operations ------------------------------------------------
+
+    def add_qubit(self, state) -> None:
+        """Append one qubit in ``state`` (shared by every element) at the
+        top slot."""
+        vec = np.asarray(state, dtype=complex).reshape(2)
+        nrm = float(np.linalg.norm(vec))
+        if nrm == 0.0:
+            raise ValueError("cannot append a zero state")
+        if self._tensors:
+            if abs(nrm - 1.0) > 1e-12:
+                self._tensors[self._center] = self._tensors[self._center] * nrm
+                vec = vec / nrm
+            self._tensors.append(np.tile(vec.reshape(1, 1, 2, 1), (self._b, 1, 1, 1)))
+        else:
+            self._tensors.append((self._amp[:, None] * vec).reshape(self._b, 1, 2, 1))
+            self._amp = np.ones(self._b, dtype=complex)
+            self._center = 0
+        self._slot_at.append(len(self._site_of))
+        self._site_of.append(len(self._tensors) - 1)
+
+    def permute(self, order) -> None:
+        """Relabel slots: new slot ``j`` holds what old slot ``order[j]``
+        held.  Pure bookkeeping."""
+        order = list(order)
+        if sorted(order) != list(range(self.num_qubits)):
+            raise ValueError(
+                f"permutation {order!r} is not over {self.num_qubits} slots"
+            )
+        self._site_of = [self._site_of[s] for s in order]
+        for slot, site in enumerate(self._site_of):
+            self._slot_at[site] = slot
+
+    def apply_1q(self, mat: np.ndarray, slot: int) -> None:
+        """Apply a single-qubit operator: one ``(2, 2)`` matrix for every
+        element, or a ``(B, 2, 2)`` stack of per-element matrices."""
+        site = self._site(slot, "1q gate")
+        mat = np.asarray(mat, dtype=complex)
+        if mat.ndim == 3:
+            mat = mat[:, None]
+        self._tensors[site] = np.matmul(mat, self._tensors[site])
+
+    def apply_1q_masked(self, mat: np.ndarray, slot: int, mask: np.ndarray) -> None:
+        """Apply ``mat`` to the elements selected by the boolean ``(B,)``
+        ``mask`` (conditional corrections)."""
+        if mask.all():
+            self.apply_1q(mat, slot)
+        elif mask.any():
+            self.apply_1q(np.where(mask[:, None, None], mat, IPAULIS[0]), slot)
+
+    def apply_paulis(self, slot: int, faults: np.ndarray) -> None:
+        """Per-element Pauli faults: ``faults[j]`` is ``-1`` (none) or
+        ``0``/``1``/``2`` for X/Y/Z."""
+        if (faults >= 0).any():
+            self.apply_1q(IPAULIS[faults.astype(np.intp) + 1], slot)
+
+    def apply_cz(self, slot0: int, slot1: int) -> None:
+        """Controlled-Z between two slots of every element: route adjacent,
+        one stacked contraction, one stacked truncated SVD."""
+        if slot0 == slot1:
+            raise ValueError("2q gate needs two distinct slots")
+        self._site(slot0, "2q gate")
+        self._site(slot1, "2q gate")
+        i, j = self._route_adjacent(slot0, slot1)
+        k = min(i, j)
+        self._center_on_pair(k)
+        theta = self._theta(k)
+        theta[:, :, 1, 1, :] *= -1.0
+        self._split_pair(theta, k)
+
+    def measure(
+        self,
+        slot: int,
+        vecs: np.ndarray,
+        u: Optional[np.ndarray] = None,
+        force: Optional[int] = None,
+        renormalize: bool = True,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Measure ``slot`` of every element and remove it from the register.
+
+        ``vecs`` is a ``(B, 2, 2)`` block of per-element bases (row ``m``
+        the outcome-``m`` vector).  Element ``j`` draws outcome 0 iff
+        ``u[j] < p0[j]``; ``force`` pins every element's outcome and raises
+        :class:`ZeroProbabilityBranch` when any element's probability is
+        below ``1e-12``.  Returns ``(outcomes, probabilities)`` as ``(B,)``
+        arrays."""
+        site = self._site(slot, "measurement")
+        b = self._b
+        vecs = np.asarray(vecs, dtype=complex)
+        if vecs.shape != (b, 2, 2):
+            raise ValueError("vecs must have shape (batch_size, 2, 2)")
+        self._move_center(site)
+        a = self._tensors[site]
+        nrm2 = _row_sq_norms(a)
+        if np.any(nrm2 <= 0.0):
+            raise ZeroProbabilityBranch("state has zero norm")
+        coef = vecs.conj()[:, None, None]  # (B, 1, 1, 2, 2)
+        reduced = np.matmul(coef[..., 0, :], a)  # (B, Dl, 1, Dr)
+        p0 = np.clip(_row_sq_norms(reduced) / nrm2, 0.0, 1.0)
+        if force is not None:
+            outcomes = np.full(b, force, dtype=np.int8)
+            probs = p0 if force == 0 else 1.0 - p0
+            if np.any(probs < 1e-12):
+                raise ZeroProbabilityBranch(
+                    f"forced outcome {force} has probability ~0"
+                )
+        else:
+            if u is None:
+                raise ValueError("measure needs u= or force=")
+            outcomes = (np.asarray(u) >= p0).astype(np.int8)
+            probs = np.where(outcomes == 0, p0, 1.0 - p0)
+        ones = np.flatnonzero(outcomes)
+        if ones.size:  # rebuild only the elements that drew 1
+            reduced[ones] = np.matmul(coef[ones, ..., 1, :], a[ones])
+        reduced = reduced[:, :, 0]  # (B, Dl, Dr)
+        if len(self._tensors) == 1:
+            self._amp = self._amp * reduced[:, 0, 0]
+            self._center = -1
+            if renormalize:
+                mag = np.abs(self._amp)
+                self._amp = self._amp / np.where(mag > 0.0, mag, 1.0)
+        elif site > 0:
+            prv = self._tensors[site - 1]
+            self._tensors[site - 1] = np.matmul(
+                prv.reshape(b, -1, prv.shape[3]), reduced
+            ).reshape(b, prv.shape[1], 2, -1)
+            self._center = site - 1
+        else:
+            nxt = self._tensors[1]
+            self._tensors[1] = np.matmul(
+                reduced, nxt.reshape(b, nxt.shape[1], -1)
+            ).reshape(b, 1, 2, nxt.shape[3])
+            self._center = 1  # becomes site 0 after the drop below
+        del self._tensors[site]
+        del self._site_of[slot]
+        del self._slot_at[site]
+        self._site_of = [s - 1 if s > site else s for s in self._site_of]
+        self._slot_at = [s - 1 if s > slot else s for s in self._slot_at]
+        if self._center > site:
+            self._center -= 1
+        if renormalize and self._tensors:
+            c = self._tensors[self._center]
+            cn = np.sqrt(_row_sq_norms(c))
+            self._tensors[self._center] = c / np.where(cn > 0.0, cn, 1.0)[
+                :, None, None, None
+            ]
+        return outcomes, probs

@@ -26,6 +26,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.linalg.gates import PAULI_X, PAULI_Y, PAULI_Z
 from repro.linalg.gates import rx as _rx, ry as _ry, rz as _rz
 from repro.utils.rng import SeedLike, ensure_rng
 
@@ -350,9 +351,12 @@ class BatchedStateVector:
     forced-branch pattern runs where the ``2^k`` input basis columns of
     :func:`repro.mbqc.runner.pattern_to_matrix` ride one batch.
 
-    Measurements are *forced* (projective with a pinned outcome): sampling
-    per batch element would break the lockstep register layout, and the
-    batched engine only ever runs fixed outcome branches.
+    Measurements remove the measured slot from every element at once, so
+    the register layout stays in lockstep: :meth:`measure_forced` pins one
+    outcome for the whole batch (branch runs), :meth:`measure_sampled`
+    draws per element in per-element bases (trajectory sampling).  Both
+    work on a ``(B, L, 2, R)`` view of the register and write the reduced
+    register as one new C-contiguous block.
     """
 
     def __init__(self, batch_size: int, num_qubits: int = 0, tensor: Optional[np.ndarray] = None):
@@ -405,8 +409,7 @@ class BatchedStateVector:
 
     def sq_norms(self) -> np.ndarray:
         """Per-element squared norms, shape ``(B,)``."""
-        flat = self._t.reshape(self.batch_size, -1)
-        return np.einsum("bi,bi->b", flat.conj(), flat).real
+        return _row_sq_norms(self._t)
 
     def to_arrays(self) -> np.ndarray:
         """``(B, 2**n)`` little-endian amplitude block (copy)."""
@@ -437,7 +440,12 @@ class BatchedStateVector:
         state = np.asarray(state, dtype=complex)
         if state.shape != (2,):
             raise ValueError("single-qubit state must have shape (2,)")
-        self._t = np.multiply.outer(self._t, state)
+        # Two long strided multiplies, not an outer product whose inner
+        # loop runs over the new length-2 axis.
+        out = np.empty(self._t.shape + (2,), dtype=complex)
+        np.multiply(self._t, state[0], out=out[..., 0])
+        np.multiply(self._t, state[1], out=out[..., 1])
+        self._t = out
         return self.num_qubits - 1
 
     def permute(self, order: Sequence[int]) -> None:
@@ -451,26 +459,46 @@ class BatchedStateVector:
     def apply_1q(self, matrix: np.ndarray, q: int) -> None:
         """Apply one 2x2 unitary to qubit ``q`` of every batch element."""
         self._check(q)
-        t = np.tensordot(matrix, self._t, axes=([1], [q + 1]))
-        self._t = np.moveaxis(t, 0, q + 1)
+        t = self._split(q)
+        out = np.empty_like(t)
+        m = np.asarray(matrix, dtype=complex)
+        out[:, :, 0], out[:, :, 1] = _mix(t[:, :, 0], t[:, :, 1], m)
+        self._t = out.reshape(self._t.shape)
 
     def apply_1q_masked(self, matrix: np.ndarray, q: int, mask: np.ndarray) -> None:
         """Apply a 2x2 unitary to qubit ``q`` of the masked batch elements.
 
         ``mask`` is a boolean ``(B,)`` selector.  This is the primitive
-        behind per-element conditional corrections (and per-element Pauli
-        faults) in the batched trajectory sampler: element ``j`` is touched
-        iff ``mask[j]``.
+        behind per-element conditional corrections in the batched
+        trajectory sampler: element ``j`` is touched iff ``mask[j]``.
         """
         self._check(q)
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (self.batch_size,):
             raise ValueError("mask must have shape (batch_size,)")
-        if not mask.any():
-            return
-        sel = self._t[mask]
-        t = np.tensordot(matrix, sel, axes=([1], [q + 1]))
-        self._t[mask] = np.moveaxis(t, 0, q + 1)
+        rows = np.flatnonzero(mask)
+        if rows.size == self.batch_size:
+            self.apply_1q(matrix, q)
+        elif rows.size:
+            self._apply_rows(q, rows, np.asarray(matrix, dtype=complex))
+
+    def apply_paulis(self, q: int, faults: np.ndarray) -> None:
+        """Per-element Pauli faults on qubit ``q``: ``faults[j]`` is ``-1``
+        (none) or ``0``/``1``/``2`` for X/Y/Z — one kernel call for the
+        faulted rows, whatever Paulis they drew."""
+        self._check(q)
+        rows = np.flatnonzero(faults >= 0)
+        if rows.size:
+            mats = IPAULIS[faults[rows].astype(np.intp) + 1]
+            self._apply_rows(q, rows, mats[:, None, None])
+
+    def _apply_rows(self, q: int, rows: np.ndarray, matrix: np.ndarray) -> None:
+        """Map qubit ``q`` of batch rows ``rows`` in place by one 2x2
+        ``matrix``, or per row by a ``(k, 1, 1, 2, 2)`` stack."""
+        self._t = np.ascontiguousarray(self._t)
+        t = self._split(q)  # a view of the register now
+        sel = t[rows]
+        t[rows, :, 0], t[rows, :, 1] = _mix(sel[:, :, 0], sel[:, :, 1], matrix)
 
     def apply_cz(self, q0: int, q1: int) -> None:
         """Batched controlled-Z via sign flip on the ``|11>`` slice."""
@@ -481,6 +509,12 @@ class BatchedStateVector:
         self._t[tuple(idx)] *= -1.0
 
     # -- measurement -------------------------------------------------------
+    def _split(self, q: int) -> np.ndarray:
+        """The register as a ``(B, L, 2, R)`` view: slots below ``q`` on
+        ``L``, slot ``q`` on the middle axis, slots above on ``R`` (a copy
+        only when the register is not C-contiguous)."""
+        return self._t.reshape(self.batch_size, 1 << q, 2, -1)
+
     def measure_forced(
         self,
         q: int,
@@ -499,18 +533,21 @@ class BatchedStateVector:
         self._check(q)
         if outcome not in (0, 1):
             raise ValueError("forced outcome must be 0 or 1")
-        totals = self.sq_norms()
-        if np.any(totals < 1e-300):
+        t = self._split(q)
+        totals = _row_sq_norms(t)
+        if (totals < 1e-300).any():
             raise ValueError("cannot measure a zero-norm state")
-        b = basis.vectors()[outcome]
-        self._t = np.tensordot(b.conj(), self._t, axes=([0], [q + 1]))
-        probs = self.sq_norms() / totals
-        if np.any(probs < 1e-12):
+        c0, c1 = (basis.b0, basis.b1)[outcome]
+        amp = t[:, :, 0] * np.conj(c0)
+        amp += t[:, :, 1] * np.conj(c1)
+        probs = _row_sq_norms(amp) / totals
+        if (probs < 1e-12).any():
             bad = int(np.argmin(probs))
             raise ZeroProbabilityBranch(
                 f"forced outcome {outcome} on qubit {q} has probability ~0 "
                 f"for batch element {bad}"
             )
+        self._t = amp.reshape((self.batch_size,) + (2,) * (self.num_qubits - 1))
         if renormalize:
             norms = np.sqrt(self.sq_norms())
             self._t /= norms.reshape((-1,) + (1,) * self.num_qubits)
@@ -532,22 +569,25 @@ class BatchedStateVector:
         trajectory sampler keep elements with different signal parities in
         one lockstep sweep.  Outcomes are drawn per element from the Born
         rule (or pinned for every element with ``force``); returns
-        ``(outcomes, probabilities)`` as ``(B,)`` arrays.
+        ``(outcomes, probabilities)`` as ``(B,)`` arrays.  The outcome-0
+        amplitudes are formed once, norms are real dot products over the
+        float view, and after the draw only the rows that drew 1 are
+        rebuilt on their other branch.
         """
         self._check(q)
         b = self.batch_size
         vecs = np.asarray(vecs, dtype=complex)
         if vecs.shape != (b, 2, 2):
             raise ValueError("vecs must have shape (batch_size, 2, 2)")
-        t = np.moveaxis(self._t, q + 1, -1)
-        amp0 = np.einsum("b...i,bi->b...", t, vecs[:, 0].conj())
-        amp1 = np.einsum("b...i,bi->b...", t, vecs[:, 1].conj())
-        n0 = np.einsum("bi,bi->b", amp0.reshape(b, -1).conj(), amp0.reshape(b, -1)).real
-        n1 = np.einsum("bi,bi->b", amp1.reshape(b, -1).conj(), amp1.reshape(b, -1)).real
-        total = n0 + n1
+        t = self._split(q)
+        x0, x1 = t[:, :, 0], t[:, :, 1]
+        c = vecs.conj()[:, None, None]  # (B, 1, 1, m, i)
+        amp = x0 * c[..., 0, 0]
+        amp += x1 * c[..., 0, 1]
+        total = _row_sq_norms(t)
         if np.any(total < 1e-300):
             raise ValueError("cannot measure a zero-norm state")
-        p0 = n0 / total
+        p0 = _row_sq_norms(amp) / total
         if force is None:
             outcomes = (ensure_rng(rng).random(b) >= p0).astype(np.int8)
         else:
@@ -561,9 +601,36 @@ class BatchedStateVector:
                 f"forced outcome {force} on qubit {q} has probability ~0 "
                 f"for batch element {bad}"
             )
-        pick = outcomes.astype(bool).reshape((b,) + (1,) * (amp0.ndim - 1))
-        self._t = np.where(pick, amp1, amp0)
+        # Only the rows that drew 1 are rebuilt on the other branch.
+        ones = np.flatnonzero(outcomes)
+        if ones.size:
+            c1 = c[ones]
+            amp1 = x0[ones] * c1[..., 1, 0]
+            amp1 += x1[ones] * c1[..., 1, 1]
+            amp[ones] = amp1
+        self._t = amp.reshape((b,) + (2,) * (self.num_qubits - 1))
         if renormalize:
             norms = np.sqrt(self.sq_norms())
             self._t /= norms.reshape((-1,) + (1,) * self.num_qubits)
         return outcomes, probs
+
+
+#: ``[I, X, Y, Z]``, gathered by ``fault + 1`` (fault ``-1`` = none).
+IPAULIS = np.stack([np.eye(2), PAULI_X, PAULI_Y, PAULI_Z]).astype(complex)
+
+
+def _mix(x0: np.ndarray, x1: np.ndarray, m: np.ndarray):
+    """The two output halves ``m @ (x0, x1)`` of a 2x2 map on one slot's
+    ``(B, L, R)`` halves: ``m`` is one ``(2, 2)`` matrix or a per-row
+    ``(B, 1, 1, 2, 2)`` stack."""
+    return (
+        x0 * m[..., 0, 0] + x1 * m[..., 0, 1],
+        x0 * m[..., 1, 0] + x1 * m[..., 1, 1],
+    )
+
+
+def _row_sq_norms(t: np.ndarray) -> np.ndarray:
+    """Per-row squared norms of a complex block, as real dot products over
+    its float view (a copy only when ``t`` is not C-contiguous)."""
+    f = np.ascontiguousarray(t).reshape(t.shape[0], -1).view(float)
+    return np.einsum("bi,bi->b", f, f)

@@ -12,7 +12,11 @@ compared with ``tests/reference_engine.py``:
   output keys are bit-identical to its own ``_run_one`` driven shot by
   shot;
 - exact frontier integration matches the depth-first reference integrator
-  to 1e-12.
+  to 1e-12;
+- the stacked statevector and MPS sweeps are chunk invariant: MPS records
+  and outputs match the reference at chunk sizes 1, 3 (ragged) and all
+  shots (``max_block_bytes``), and on both engines one fused batch of
+  ragged blocks (the serve mux) reproduces each block's standalone run.
 """
 
 import numpy as np
@@ -29,10 +33,14 @@ from repro.analysis import estimate_compiled
 from repro.linalg import allclose_up_to_global_phase
 from repro.mbqc import Pattern, compile_pattern, get_backend, lower_noise
 from repro.mbqc.noise import NoiseModel
+from repro.serve.batching import MuxedGenerator
 from repro.sim.density import DensityMatrix
 from repro.sim.mps import MPSState
 
 N_SHOTS = 12
+
+#: Ragged shot blocks fused into one batch (sizes 1 and 3, as the chunks).
+FUSED_BLOCKS = (1, 3, 3, 3, 2)
 
 #: Leaf budget for the depth-first reference integrator per example.
 MAX_REFERENCE_LEAVES = 1024
@@ -44,6 +52,11 @@ def j_chain(alphas):
         p.n(i + 1).e(i, i + 1).m(i, "XY", -a, s_domain=set())
         p.x(i + 1, {i})
     return p
+
+
+def noisy_program(kind, seed, p_prep, p_ent, p_meas):
+    noise = NoiseModel(p_prep=p_prep, p_ent=p_ent, p_meas=p_meas)
+    return lower_noise(compile_pattern(random_pattern(kind, seed)), noise)
 
 
 def random_pattern(kind: str, seed: int) -> Pattern:
@@ -66,8 +79,7 @@ probs = st.sampled_from([0.0, 0.03, 0.2])
 )
 @settings(max_examples=15, deadline=None)
 def test_engines_match_reference(kind, seed, p_prep, p_ent, p_meas):
-    noise = NoiseModel(p_prep=p_prep, p_ent=p_ent, p_meas=p_meas)
-    program = lower_noise(compile_pattern(random_pattern(kind, seed)), noise)
+    program = noisy_program(kind, seed, p_prep, p_ent, p_meas)
 
     ref = reference_sample(program, N_SHOTS, seed)
     sv = get_backend("statevector").sample_batch(program, N_SHOTS, rng=seed)
@@ -105,3 +117,47 @@ def test_engines_match_reference(kind, seed, p_prep, p_ent, p_meas):
         exact = get_backend("density").integrate(program)
         scalar = reference_integrate(program)
         assert np.abs(exact.rho._t - scalar.rho._t).max() < 1e-12
+
+
+@given(
+    kind=st.sampled_from(["clifford", "j_chain"]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    p_prep=probs,
+    p_ent=probs,
+    p_meas=probs,
+)
+@settings(max_examples=10, deadline=None)
+def test_stacked_sweeps_chunk_invariant(kind, seed, p_prep, p_ent, p_meas):
+    program = noisy_program(kind, seed, p_prep, p_ent, p_meas)
+
+    mps = get_backend("mps")
+    ref = reference_sample(program, N_SHOTS, seed, state=MPSState)
+    for chunk in (1, 3, N_SHOTS):
+        run = mps.sample_batch(
+            program, N_SHOTS, rng=seed, keep_raw=True,
+            max_block_bytes=chunk * mps.bytes_per_shot(program),
+        )
+        assert np.array_equal(run.outcomes, ref.outcomes)
+        for out, want in zip(run.raw, ref.outputs):
+            assert allclose_up_to_global_phase(
+                out.unit_statevector(), want.to_array() / want.norm(), atol=1e-9
+            )
+            assert abs(out.truncation_error - want.truncation_error) < 1e-15
+
+    seeds = [seed + k for k in range(len(FUSED_BLOCKS))]
+    for name in ("statevector", "mps"):
+        eng = get_backend(name)
+        mux = MuxedGenerator([np.random.default_rng(s) for s in seeds], FUSED_BLOCKS)
+        fused = eng.sample_batch(program, sum(FUSED_BLOCKS), mux, keep_raw=True)
+        lo = 0
+        for n, s in zip(FUSED_BLOCKS, seeds):
+            alone = eng.sample_batch(program, n, rng=s, keep_raw=True)
+            assert np.array_equal(fused.outcomes[lo:lo + n], alone.outcomes)
+            if name == "statevector":
+                assert np.allclose(fused.states[lo:lo + n], alone.states, atol=1e-9)
+            else:
+                for a, b in zip(fused.raw[lo:lo + n], alone.raw):
+                    assert allclose_up_to_global_phase(
+                        a.unit_statevector(), b.unit_statevector(), atol=1e-9
+                    )
+            lo += n

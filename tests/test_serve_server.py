@@ -370,6 +370,22 @@ class TestServerReceipts:
             result = srv.result("v", timeout=60)
         assert result.kind == "verify"
 
+    def test_verify_jobs_build_pattern_once(self, monkeypatch):
+        """Verify runs on the cached program: three identical jobs build
+        the pattern once (the cache miss), not once more per job."""
+        builds = []
+        original = JobSpec.build_pattern
+        monkeypatch.setattr(
+            JobSpec, "build_pattern",
+            lambda self: builds.append(1) or original(self),
+        )
+        with JobServer(executor="inline") as srv:
+            for name in ("v1", "v2", "v3"):
+                srv.submit({"kind": "verify", "id": name, "problem": "ring:4"})
+            results = [srv.result(name, timeout=60) for name in ("v1", "v2", "v3")]
+        assert [r.deterministic for r in results] == [True] * 3
+        assert len(builds) == 1
+
     def test_bad_spec_is_error_event_not_crash(self):
         with JobServer(executor="inline") as srv:
             sub = srv.subscribe()
