@@ -9,7 +9,10 @@ non-Clifford nodes, a workload none of the dense engines can touch.
 One execution path (:meth:`MPSBackend._sweep`) serves both
 ``sample_batch`` and ``run_branch_batch``: the op stream runs on a
 :class:`~repro.sim.mps.BatchedMPSState`, the shot-stacked chains of a
-whole chunk, with one stacked kernel call per op.  Sampling follows the
+whole chunk, with one stacked kernel call per op (per group of chains
+with equal bond dimensions: each chain routes and truncates exactly as
+its own scalar :class:`~repro.sim.mps.MPSState` would, so truncated runs
+do not depend on the chunking either).  Sampling follows the
 shot-chunking byte-budget discipline: chunks of resident shots are
 sized by ``MPS_BATCH_MAX_BYTES`` (``chunk = budget // bytes_per_shot``,
 clamped to 1), and every chunk reads one shared
@@ -80,8 +83,7 @@ class MPSOutput:
     """One element's output on the MPS engine.
 
     ``mps`` is the normalized output chain (output nodes in output order,
-    one scalar :class:`MPSState` unstacked from its chunk, bonds padded to
-    the chunk maximum);
+    one scalar :class:`MPSState` unstacked from its chunk);
     ``log2_weight`` the branch log-probability (0.0 for sampled
     trajectories, log-domain so hundred-measurement branch weights do not
     underflow).  ``truncation_error`` surfaces the chain's accumulated

@@ -181,9 +181,12 @@ class _DensityKernels:
 class _MPSKernels:
     exact_channels = False
 
+    def __init__(self, chi_max=MPS_DEFAULT_CHI_MAX):
+        self.chi_max = chi_max
+
     def fresh(self, row):
         return MPSState.from_dense_row(
-            row, chi_max=MPS_DEFAULT_CHI_MAX, cutoff=MPS_DEFAULT_CUTOFF
+            row, chi_max=self.chi_max, cutoff=MPS_DEFAULT_CUTOFF
         )
 
     def prep(self, st, op):
@@ -280,12 +283,16 @@ def reference_sample(
     input_state=None,
     forced_outcomes: Optional[Mapping[int, int]] = None,
     noise=None,
+    mps_chi_max: Optional[int] = MPS_DEFAULT_CHI_MAX,
 ) -> ReferenceRun:
     """Sample ``n_shots`` trajectories on scalar ``state`` objects, one
-    per shot, drawing from ``seed`` under the whole-block contract."""
+    per shot, drawing from ``seed`` under the whole-block contract
+    (``mps_chi_max`` caps the bonds of :class:`MPSState` chains)."""
     if noise is not None:
         compiled = lower_noise(compiled, noise)
-    kernels = _KERNELS[state]()
+    kernels = (
+        _MPSKernels(mps_chi_max) if state is MPSState else _KERNELS[state]()
+    )
     rng = ensure_rng(seed)
     row = _input_row(compiled, input_state)
     states = [kernels.fresh(row) for _ in range(n_shots)]

@@ -63,6 +63,8 @@ class Pair:
         assert len(outs) == len(self.reps)
         for out, r in zip(outs, self.reps):
             np.testing.assert_allclose(out.to_array(), r.to_array(), atol=atol)
+            assert out._slot_at == r._slot_at  # the same route ...
+            assert out.bond_dims() == r.bond_dims()  # ... and truncations
             assert out.truncation_error == pytest.approx(
                 r.truncation_error, rel=1e-9, abs=1e-15
             )
@@ -82,20 +84,20 @@ class TestRegisterOps:
     def test_prep_and_1q(self):
         pair, rng = grown(4, 3, seed=0)
         pair.check()
-        assert pair.st.bond_dims() == (1, 1)
+        assert len(pair.st._groups) == 1
+        assert all(out.bond_dims() == (1, 1) for out in pair.st.unstack())
 
-    def test_stack_pads_unequal_bonds(self):
-        """Rows of different Schmidt rank stack with zero padding and
-        unstack to the same states."""
+    def test_stack_groups_unequal_bonds(self):
+        """Rows of different Schmidt rank stack into one group per bond
+        profile and unstack, in order, to the same chains."""
         rng = np.random.default_rng(1)
         rows = [np.kron(np.kron(KET_PLUS, KET_0), KET_PLUS)]
         rows += [rng.normal(size=8) + 1j * rng.normal(size=8) for _ in range(2)]
         chains = [MPSState.from_dense_row(r) for r in rows]
         st = BatchedMPSState.stack(chains)
-        assert st.bond_dims() == tuple(
-            max(c.bond_dims()[k] for c in chains) for k in range(2)
-        )
+        assert [rows.tolist() for rows, _ in st._groups] == [[0], [1, 2]]
         for out, c in zip(st.unstack(), chains):
+            assert out.bond_dims() == c.bond_dims()
             np.testing.assert_allclose(out.to_array(), c.to_array(), atol=1e-12)
 
     def test_stack_refuses_mismatched_layouts(self):
@@ -125,9 +127,7 @@ class TestEntangle:
         pair.cz(0, 1)
         pair.cz(0, 3)  # slot 3 is a product site: relocated
         pair.check()
-        assert pair.st._slot_at == pair.reps[0]._slot_at
-        assert pair.st.bond_dims() == pair.reps[0].bond_dims()
-        assert pair.st.truncation_error.max() < 1e-20
+        assert (pair.st.truncation_error == 0.0).all()
 
     def test_cz_swap_walk(self):
         """Both operands entangled: the smaller is walked over by SWAPs."""
@@ -137,13 +137,12 @@ class TestEntangle:
         pair.u1(random_unitaries(rng, 4), 1)
         pair.cz(0, 4)
         pair.check()
-        assert pair.st._slot_at == pair.reps[0]._slot_at
-        assert pair.st.bond_dims() == pair.reps[0].bond_dims()
 
-    def test_mixed_ranks_pad_and_stay_exact(self):
+    def test_mixed_ranks_split_the_group(self):
         """Element 0 stays a product (|0> control), element 1 entangles:
-        the split pads element 0's bond with zeros and both chains stay
-        exact through later routing."""
+        the split leaves one group per rank, and each element then routes
+        as its own scalar chain does (element 0 relocates a product site
+        where element 1 walks SWAPs)."""
         pair = Pair(2)
         for _ in range(4):
             pair.add()
@@ -151,7 +150,7 @@ class TestEntangle:
         pair.u1(flip.astype(complex), 0)  # element 0: |+> -> |0>
         pair.cz(0, 1)
         assert pair.reps[0].max_bond == 1 and pair.reps[1].max_bond == 2
-        assert pair.st.bond_dims()[0] == 2
+        assert [rows.tolist() for rows, _ in pair.st._groups] == [[0], [1]]
         pair.cz(2, 3)
         pair.cz(1, 3)
         pair.cz(0, 2)
